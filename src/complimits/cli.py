@@ -21,7 +21,7 @@ from . import __version__
 from .binning import BinningProblem, binning_error_exact, binning_error_mc
 from .bounds import GaussianParams, R_upper_quantile, achievability_iid, approx_Rstar, converse_iid
 from .budgets import default_budgets
-from .dispersion import dispersion_estimate, normalized_dispersion
+from .dispersion import dispersion_estimate, exact_spectrum, normalized_dispersion
 from .errors import (
     BudgetExceededError,
     CompLimitsError,
@@ -43,7 +43,7 @@ from .sources import (
     load_source,
     poisson_distribution,
 )
-from .spectrum import InformationSpectrum, iid_spectrum, markov_spectrum_exact, markov_spectrum_mc
+from .spectrum import iid_spectrum, markov_spectrum_mc
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,15 +72,6 @@ def _load_source_arg(raw: str):
         raise ConfigurationError(f"cannot read source file {raw!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"source file {raw!r} is not valid JSON: {exc}") from exc
-
-
-def _spectrum_for(source, n: int, mc_samples: int, seed: int) -> InformationSpectrum:
-    if isinstance(source, MarkovSource):
-        if mc_samples > 0:
-            return markov_spectrum_mc(source, n, mc_samples, seed)
-        return markov_spectrum_exact(source, n, default_budgets())
-    dist = as_finite(source)
-    return iid_spectrum(dist, n, default_budgets())
 
 
 def _write_output(args, headers: Sequence[str], rows: list[tuple], meta_extra: dict) -> None:
@@ -133,7 +124,10 @@ def _parse_int_range(args) -> range:
 
 def _cmd_spectrum(args) -> None:
     source = _load_source_arg(args.source)
-    spec = _spectrum_for(source, args.n, args.mc_samples, args.seed)
+    if isinstance(source, MarkovSource) and args.mc_samples > 0:
+        spec = markov_spectrum_mc(source, args.n, args.mc_samples, args.seed)
+    else:
+        spec = exact_spectrum(source, args.n)
     headers = ("info_value_bits", "probability", "count")
     rows = [(float(i), float(p), c) for i, p, c in zip(spec.infos, spec.probs, spec.counts)]
     _write_output(args, headers, rows, {"n": spec.n, "exact": spec.exact, "sample_size": spec.sample_size})
@@ -150,7 +144,7 @@ def _cmd_limits(args) -> None:
     marker = {}
     for n in _parse_int_range(args):
         try:
-            spec = _spectrum_for(source, n, 0, args.seed)
+            spec = exact_spectrum(source, n)
         except BudgetExceededError as exc:
             marker = {"truncated_at_n": n, "budget_note": str(exc)}
             break
@@ -171,7 +165,7 @@ def _cmd_bounds(args) -> None:
     source = _load_source_arg(args.source)
     dist = as_finite(source)
     params = GaussianParams.from_distribution(dist)
-    eps = args.eps[0] if isinstance(args.eps, list) else args.eps
+    eps = args.eps
     headers = (
         "n",
         "exact_R_star_bits_per_symbol",
@@ -254,7 +248,7 @@ def _cmd_figure1(args) -> None:
     _write_output(args, headers, rows, meta)
 
 
-def _figure_rate_sweep(args, n_lo: int, n_hi: int) -> None:
+def _cmd_rate_sweep(args) -> None:
     dist = bernoulli(args.bias)
     params = GaussianParams.from_distribution(dist)
     headers = (
@@ -264,7 +258,7 @@ def _figure_rate_sweep(args, n_lo: int, n_hi: int) -> None:
         "upper_quantile_bits_per_symbol",
     )
     rows = []
-    for n in range(n_lo, n_hi + 1):
+    for n in range(args.n_min, args.n_max + 1):
         spec = iid_spectrum(dist, n, default_budgets())
         rows.append(
             (
@@ -275,14 +269,6 @@ def _figure_rate_sweep(args, n_lo: int, n_hi: int) -> None:
             )
         )
     _write_output(args, headers, rows, {"eps": args.eps, "bias": args.bias})
-
-
-def _cmd_figure2(args) -> None:
-    _figure_rate_sweep(args, args.n_min, args.n_max)
-
-
-def _cmd_figure3(args) -> None:
-    _figure_rate_sweep(args, args.n_min, args.n_max)
 
 
 def _cmd_figure4(args) -> None:
@@ -353,13 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure2", help="exact rate vs approximations, long blocklengths")
     common(p, source=False, n_range=True)
-    p.set_defaults(func=_cmd_figure2, n_min=10, n_max=2000)
+    p.set_defaults(func=_cmd_rate_sweep, n_min=10, n_max=2000)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--bias", type=float, default=0.11)
 
     p = sub.add_parser("figure3", help="exact rate vs approximation, short blocklengths")
     common(p, source=False, n_range=True)
-    p.set_defaults(func=_cmd_figure3, n_min=10, n_max=200)
+    p.set_defaults(func=_cmd_rate_sweep, n_min=10, n_max=200)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--bias", type=float, default=0.11)
 

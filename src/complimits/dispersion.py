@@ -16,7 +16,7 @@ from typing import Sequence, Union
 from .bounds import gaussian_Q_inv
 from .budgets import Budgets, default_budgets
 from .errors import BudgetExceededError
-from .optcode import R_star, length_distribution
+from .optcode import R_star, _dyadic_blocks, length_distribution
 from .spectrum import (
     InformationSpectrum,
     count_times_pstring,
@@ -28,6 +28,8 @@ from .sources import (
     CountableDistribution,
     FiniteDistribution,
     MarkovSource,
+    SourceSpec,
+    as_finite,
     entropy,
     markov_entropy_rate,
     markov_varentropy_rate,
@@ -36,6 +38,7 @@ from .sources import (
 
 __all__ = [
     "DispersionTrace",
+    "exact_spectrum",
     "var_codelength",
     "second_moment_gap",
     "dispersion_estimate",
@@ -61,6 +64,19 @@ class DispersionTrace:
     complete: bool
 
 
+def exact_spectrum(source: SourceSpec, n: int, budget: Budgets | None = None) -> InformationSpectrum:
+    """Exact blocklength-n spectrum of a memoryless or Markov source.
+
+    Countable memoryless laws are truncated per their tail policy first.
+    It lives here, not in ``spectrum``, because ``perfbench/spans.py`` times
+    only calls that cross a module boundary, and the constructor calls made
+    from here do.
+    """
+    if isinstance(source, MarkovSource):
+        return markov_spectrum_exact(source, n, budget)
+    return iid_spectrum(as_finite(source), n, budget)
+
+
 def var_codelength(spec: InformationSpectrum) -> float:
     """Var of the optimal codelength, from the exact length distribution."""
     return length_distribution(spec).variance()
@@ -74,19 +90,7 @@ def second_moment_gap(spec: InformationSpectrum) -> float:
     (count in block) * per-string-prob * (length - info)^2 terms.
     """
     spec.require_exact("second_moment_gap")
-    terms = []
-    consumed = 0
-    for i, count in enumerate(spec.counts):
-        info_i = float(spec.infos[i])
-        span = count
-        while span > 0:
-            j = (consumed + 1).bit_length() - 1
-            block_end = (1 << (j + 1)) - 1
-            take = min(block_end, consumed + span) - consumed
-            terms.append(count_times_pstring(take, info_i) * (j - info_i) ** 2)
-            consumed += take
-            span -= take
-    return math.fsum(terms)
+    return math.fsum(count_times_pstring(take, info) * (j - info) ** 2 for j, take, info in _dyadic_blocks(spec))
 
 
 def dispersion_estimate(
@@ -96,23 +100,12 @@ def dispersion_estimate(
 ) -> DispersionTrace:
     """Trace Var(len)/n toward the varentropy rate over the given blocklengths."""
     budget = budget or default_budgets()
-    if isinstance(source, FiniteDistribution):
-        sigma2 = varentropy(source)
-
-        def spec_at(n: int) -> InformationSpectrum:
-            return iid_spectrum(source, n, budget)
-
-    else:
-        sigma2 = markov_varentropy_rate(source)
-
-        def spec_at(n: int) -> InformationSpectrum:
-            return markov_spectrum_exact(source, n, budget)
-
+    sigma2 = varentropy(source) if isinstance(source, FiniteDistribution) else markov_varentropy_rate(source)
     ns, v_len, v_info, gaps = [], [], [], []
     complete = True
     for n in n_list:
         try:
-            spec = spec_at(n)
+            spec = exact_spectrum(source, n, budget)
         except BudgetExceededError:
             complete = False
             break
@@ -151,24 +144,14 @@ def rd_characterization_check(
     """
     budget = budget or default_budgets()
     if isinstance(source, FiniteDistribution):
-        h = entropy(source)
-        sigma2 = varentropy(source)
-
-        def spec_at(n: int) -> InformationSpectrum:
-            return iid_spectrum(source, n, budget)
-
+        h, sigma2 = entropy(source), varentropy(source)
     else:
-        h = markov_entropy_rate(source)
-        sigma2 = markov_varentropy_rate(source)
-
-        def spec_at(n: int) -> InformationSpectrum:
-            return markov_spectrum_exact(source, n, budget)
-
+        h, sigma2 = markov_entropy_rate(source), markov_varentropy_rate(source)
     if sigma2 <= 0.0:
         raise ValueError("characterization requires nonzero varentropy")
     rows = []
     for n in n_list:
-        spec = spec_at(n)
+        spec = exact_spectrum(source, n, budget)
         for eps in eps_list:
             lam = gaussian_Q_inv(eps)
             value = n * ((R_star(spec, eps) - h) / lam) ** 2

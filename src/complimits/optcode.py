@@ -25,6 +25,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .budgets import Budgets, default_budgets
 from .errors import BudgetExceededError, DistributionError
@@ -71,12 +72,17 @@ class RankCut:
     excess_prob: float
 
 
+def _string_prob(info: float) -> float:
+    """Per-string probability 2^(-info), flushed to 0 beyond 1000 bits."""
+    return 2.0 ** (-info) if info <= 1000.0 else 0.0
+
+
 def rank_cut(spec: InformationSpectrum, threshold: int) -> RankCut:
     """Locate the cut after the ``threshold`` highest-probability strings."""
     spec.require_exact("rank_cut")
     threshold = int(threshold)
     if threshold <= 0:
-        return RankCut(0, -1, 0, 0.0, 0, float(spec.probs[0]), 0.0, float(spec.suffix_probs[0]))
+        return RankCut(0, -1, 0, 0.0, 0, _string_prob(float(spec.infos[0])), 0.0, float(spec.suffix_probs[0]))
     total = spec.total_count
     if threshold >= total:
         return RankCut(threshold, len(spec), total, float(spec.cum_probs[-1]), 0, 0.0, float(spec.cum_probs[-1]), 0.0)
@@ -84,7 +90,7 @@ def rank_cut(spec: InformationSpectrum, threshold: int) -> RankCut:
     before = spec.cum_counts[i - 1] if i > 0 else 0
     partial = threshold - before
     info_i = float(spec.infos[i])
-    p_string = 2.0 ** (-info_i) if info_i <= 1000.0 else 0.0
+    p_string = _string_prob(info_i)
     prob_before = float(spec.cum_probs[i - 1]) if i > 0 else 0.0
     retained = prob_before + count_times_pstring(partial, info_i)
     excess = float(spec.suffix_probs[i + 1]) + count_times_pstring(spec.counts[i] - partial, info_i)
@@ -200,26 +206,31 @@ class CodelengthDistribution:
         return math.fsum(p * (l - mu) ** 2 for l, p in zip(self.lengths, self.probs))
 
 
-def length_distribution(spec: InformationSpectrum) -> CodelengthDistribution:
-    """Exact codelength distribution P[len = j] = P[rank in [2^j, 2^(j+1))].
+def _dyadic_blocks(spec: InformationSpectrum) -> Iterator[tuple[int, int, float]]:
+    """Walk masses and dyadic rank blocks together.
 
-    Walks masses and dyadic rank blocks together, splitting tie classes that
-    straddle a block boundary by exact string counts.
+    Yields (length j, strings taken, surprisal) for each piece of a mass
+    whose ranks fall in [2^j, 2^(j+1)), i.e. receive codelength j; a tie
+    class that straddles a block boundary is split by exact string counts.
     """
-    spec.require_exact("length_distribution")
-    n_lengths = spec.total_count.bit_length()
-    buckets: list[list[float]] = [[] for _ in range(n_lengths)]
     consumed = 0
-    for i, count in enumerate(spec.counts):
-        info_i = float(spec.infos[i])
+    for count, info in zip(spec.counts, spec.infos.tolist()):
         span = count
         while span > 0:
             j = (consumed + 1).bit_length() - 1
-            block_end = (1 << (j + 1)) - 1
-            take = min(block_end, consumed + span) - consumed
-            buckets[j].append(count_times_pstring(take, info_i))
+            take = min((1 << (j + 1)) - 1, consumed + span) - consumed
+            yield j, take, info
             consumed += take
             span -= take
+
+
+def length_distribution(spec: InformationSpectrum) -> CodelengthDistribution:
+    """Exact codelength distribution P[len = j] = P[rank in [2^j, 2^(j+1))]."""
+    spec.require_exact("length_distribution")
+    n_lengths = spec.total_count.bit_length()
+    buckets: list[list[float]] = [[] for _ in range(n_lengths)]
+    for j, take, info in _dyadic_blocks(spec):
+        buckets[j].append(count_times_pstring(take, info))
     probs = [math.fsum(b) for b in buckets]
     return CodelengthDistribution(spec.n, tuple(range(n_lengths)), tuple(probs))
 

@@ -34,7 +34,6 @@ __all__ = [
     "varentropy",
     "third_abs_moment",
     "moment_summary",
-    "information_values",
     "stationary_distribution",
     "markov_entropy_rate",
     "markov_varentropy_rate",
@@ -197,11 +196,6 @@ class MomentSummary:
     H: float
     sigma2: float
     mu3: float
-
-
-def information_values(dist: FiniteDistribution) -> np.ndarray:
-    """Per-symbol surprisal log2(1/p) in bits."""
-    return -np.log2(dist.prob_array())
 
 
 def entropy(dist: FiniteDistribution) -> float:

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import _kernels
+from ._kernels import initial_step, markov_step
 from .budgets import Budgets, default_budgets
 from .errors import BudgetExceededError, DistributionError, UnsupportedSpectrumError
 from .sources import FiniteDistribution, MarkovSource
@@ -32,7 +31,6 @@ PROB_CHECK_TOL = 1e-9
 
 __all__ = [
     "InformationSpectrum",
-    "SpectrumQuery",
     "iid_spectrum",
     "markov_spectrum_exact",
     "markov_spectrum_mc",
@@ -160,20 +158,6 @@ class InformationSpectrum:
             if max(ref, p) > 0.0:
                 worst = max(worst, abs(ref - p) / max(ref, p))
         return worst
-
-
-@dataclass(frozen=True)
-class SpectrumQuery:
-    """Validated (threshold a in bits, probability reciprocal beta) pair."""
-
-    a: float
-    beta: float
-
-    def __post_init__(self):
-        if self.a < 0.0:
-            raise ValueError("threshold a must be nonnegative")
-        if self.beta < 1.0:
-            raise ValueError("beta must be at least 1")
 
 
 def _merge_masses(raw: Iterable[tuple[float, float, int]], n: int, exact: bool, sample_size: int = 0) -> InformationSpectrum:
@@ -308,9 +292,9 @@ def markov_spectrum_mc(src: MarkovSource, n: int, samples: int, seed: int) -> In
     """Empirical spectrum from ``samples`` independent length-n sample paths.
 
     Deterministic for a fixed seed: one uniform variate is drawn per sample
-    per step from a PCG64 stream, in step order, independent of the kernel
-    backend in use.  Each distinct observed surprisal becomes one mass with
-    count 1 and probability multiplicity/samples.
+    per step from a PCG64 stream, in step order.  Each distinct observed
+    surprisal becomes one mass with count 1 and probability
+    multiplicity/samples.
     """
     if n < 1:
         raise ValueError("blocklength must be at least 1")
@@ -335,9 +319,9 @@ def markov_spectrum_mc(src: MarkovSource, n: int, samples: int, seed: int) -> In
     rng = np.random.Generator(np.random.PCG64(seed))
     states = np.empty(samples, dtype=np.int64)
     acc = np.zeros(samples, dtype=np.float64)
-    _kernels.initial_step(rng.random(samples), init_cum, init_info, states, acc)
+    initial_step(rng.random(samples), init_cum, init_info, states, acc)
     for _ in range(n - 1):
-        _kernels.markov_step(rng.random(samples), cum_rows, info_rows, states, acc)
+        markov_step(rng.random(samples), cum_rows, info_rows, states, acc)
 
     values, multiplicity = np.unique(acc, return_counts=True)
     probs = multiplicity / float(samples)

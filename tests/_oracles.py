@@ -197,3 +197,19 @@ def ks_sup_distance(infos, cum_probs, standardize):
         sup = max(sup, abs(c - phi_z), abs(prev - phi_z))
         prev = c
     return sup
+
+
+def broadcast_initial_step(u, init_cum, init_info, states, acc):
+    """Reference initial step: compare every variate with every cumulative
+    probability at once and count the ones it reaches."""
+    np.sum(u[:, None] >= init_cum[None, :], axis=1, out=states)
+    acc[:] = init_info[states]
+
+
+def broadcast_markov_step(u, cum_rows, info_rows, states, acc):
+    """Reference transition: gather each sample's whole cumulative row, count
+    the entries its variate reaches, then add the transition surprisal."""
+    rows = cum_rows[states]
+    nxt = np.sum(u[:, None] >= rows, axis=1)
+    acc += info_rows[states, nxt]
+    states[:] = nxt

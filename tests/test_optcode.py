@@ -52,6 +52,12 @@ class TestRankCut:
         cut = rank_cut(S11_2, 0)
         assert cut.retained_prob == 0.0
         assert cut.excess_prob == pytest.approx(1.0, abs=1e-12)
+        assert cut.per_string_prob == pytest.approx(0.7921, abs=1e-12)
+
+    def test_zero_threshold_reports_per_string_prob(self):
+        # Bernoulli(1/2) at n = 3 is one mass of 8 strings: 1/8 each, not the class mass 1
+        cut = rank_cut(iid_spectrum(bernoulli(0.5), 3), 0)
+        assert cut.per_string_prob == 0.125
 
     def test_full_threshold(self):
         cut = rank_cut(S11_2, 4)

@@ -16,7 +16,6 @@ from complimits.sources import (
     varentropy,
 )
 from complimits.spectrum import (
-    SpectrumQuery,
     ccdf,
     count_heavier,
     count_heavier_eq,
@@ -223,10 +222,6 @@ class TestQueries:
             quantile(s, 0.0)
         with pytest.raises(ValueError):
             count_heavier(s, 0.5)
-        with pytest.raises(ValueError):
-            SpectrumQuery(a=-1.0, beta=2.0)
-        with pytest.raises(ValueError):
-            SpectrumQuery(a=1.0, beta=0.5)
 
 
 class TestExport:
