@@ -33,9 +33,11 @@ from .spectrum import InformationSpectrum, ccdf, markov_spectrum_mc
 from .sources import (
     FiniteDistribution,
     MarkovSource,
+    entropy,
     markov_entropy_rate,
     markov_varentropy_rate,
-    moment_summary,
+    third_abs_moment,
+    varentropy,
 )
 
 LOG2E = math.log2(math.e)
@@ -162,15 +164,14 @@ class GaussianParams:
 
     @classmethod
     def from_distribution(cls, dist: FiniteDistribution, be_constant: float | None = None) -> "GaussianParams":
-        m = moment_summary(dist)
-        return cls(H=m.H, sigma2=m.sigma2, mu3=m.mu3, be_constant=be_constant)
+        return cls(H=entropy(dist), sigma2=varentropy(dist), mu3=third_abs_moment(dist), be_constant=be_constant)
 
     @classmethod
-    def from_markov(cls, src: MarkovSource, tol: float = 1e-10, be_constant: float | None = None) -> "GaussianParams":
+    def from_markov(cls, src: MarkovSource, be_constant: float | None = None) -> "GaussianParams":
         # mu3 has no role in the Markov bounds; it is set to zero here
         return cls(
             H=markov_entropy_rate(src),
-            sigma2=markov_varentropy_rate(src, tol),
+            sigma2=markov_varentropy_rate(src),
             mu3=0.0,
             be_constant=be_constant,
         )

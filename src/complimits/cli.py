@@ -111,6 +111,32 @@ def _cell(value):
     return str(value)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, else a configuration error (exit 2)."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _eps_level(raw: str) -> float:
+    """argparse type: an excess-probability level in [0, 1)."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {raw!r}") from None
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {raw}")
+    return value
+
+
 def _parse_int_range(args) -> range:
     if args.n_max < args.n_min:
         raise ConfigurationError("--n-max must be at least --n-min")
@@ -124,7 +150,9 @@ def _parse_int_range(args) -> range:
 
 def _cmd_spectrum(args) -> None:
     source = _load_source_arg(args.source)
-    if isinstance(source, MarkovSource) and args.mc_samples > 0:
+    if args.mc_samples > 0:
+        if not isinstance(source, MarkovSource):
+            raise ConfigurationError("--mc-samples needs a Markov source; memoryless spectra are exact")
         spec = markov_spectrum_mc(source, args.n, args.mc_samples, args.seed)
     else:
         spec = exact_spectrum(source, args.n)
@@ -258,7 +286,7 @@ def _cmd_rate_sweep(args) -> None:
         "upper_quantile_bits_per_symbol",
     )
     rows = []
-    for n in range(args.n_min, args.n_max + 1):
+    for n in _parse_int_range(args):
         spec = iid_spectrum(dist, n, default_budgets())
         rows.append(
             (
@@ -300,22 +328,22 @@ def build_parser() -> argparse.ArgumentParser:
         if source:
             p.add_argument("--source", required=True, help="source JSON (inline or file path)")
         if n_range:
-            p.add_argument("--n-min", type=int, default=10)
+            p.add_argument("--n-min", type=_int_at_least(1), default=10)
             p.add_argument("--n-max", type=int, default=200)
-            p.add_argument("--n-step", type=int, default=1)
+            p.add_argument("--n-step", type=_int_at_least(1), default=1)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", "-o", default=None, help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("spectrum", help="information spectrum masses")
     common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mc-samples", type=int, default=0, help="0 = exact")
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--mc-samples", type=_int_at_least(0), default=0, help="0 = exact; Markov sources only")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("limits", help="exact limits per (n, k)")
     common(p, n_range=True)
-    p.add_argument("--eps", type=float, nargs="+", default=[0.1])
+    p.add_argument("--eps", type=_eps_level, nargs="+", default=[0.1])
     p.set_defaults(func=_cmd_limits)
 
     p = sub.add_parser("bounds", help="exact limit vs bounds over n")
@@ -325,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("binning", help="random binning error")
     common(p)
-    p.add_argument("--bins", type=int, nargs="+", required=True)
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--bins", type=_int_at_least(1), nargs="+", required=True)
+    p.add_argument("--trials", type=_int_at_least(1), default=100_000)
     p.set_defaults(func=_cmd_binning)
 
     p = sub.add_parser("dispersion", help="dispersion trace over n")

@@ -44,7 +44,6 @@ __all__ = [
     "dispersion_estimate",
     "normalized_dispersion",
     "rd_characterization_check",
-    "info_growth_bound",
 ]
 
 
@@ -166,11 +165,3 @@ def rd_characterization_check(
             )
     return rows
 
-
-def info_growth_bound(spec: InformationSpectrum) -> float:
-    """max iota(x)/n over positive-probability strings (informational check).
-
-    Sources whose surprisal grows at most linearly have dispersion equal to
-    varentropy; this reports the observed linear-growth constant at one n.
-    """
-    return float(spec.infos[-1]) / spec.n

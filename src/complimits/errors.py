@@ -30,11 +30,7 @@ class UnsupportedSpectrumError(CompLimitsError):
 
 
 class ConvergenceError(CompLimitsError):
-    """Iterative computation failed to converge; carries the partial result."""
-
-    def __init__(self, message: str, *, partial: float | None = None):
-        super().__init__(message)
-        self.partial = partial
+    """Iterative computation failed to converge."""
 
 
 class ConfigurationError(CompLimitsError):

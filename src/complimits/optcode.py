@@ -20,24 +20,18 @@ inside a tie class splits the class mass proportionally to string counts.
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
-from .budgets import Budgets, default_budgets
-from .errors import BudgetExceededError, DistributionError
 from .spectrum import InformationSpectrum, ccdf, count_heavier_at_level, count_times_pstring
-from .sources import FiniteDistribution
 
 __all__ = [
     "RankCut",
     "CodelengthDistribution",
     "rank_cut",
     "epsilon_star",
-    "max_codeword_length",
     "R_star",
     "R_star_via_counting",
     "Rbar",
@@ -47,9 +41,6 @@ __all__ = [
     "var_length_equiprobable",
     "prefix_epsilon",
     "prefix_R",
-    "OptimalCode",
-    "encode",
-    "decode",
 ]
 
 
@@ -112,12 +103,6 @@ def epsilon_star(spec: InformationSpectrum, k: int) -> float:
     return rank_cut(spec, (1 << k) - 1).excess_prob
 
 
-def max_codeword_length(spec: InformationSpectrum) -> int:
-    """Length assigned to the least likely positive-probability string."""
-    spec.require_exact("max_codeword_length")
-    return spec.total_count.bit_length() - 1
-
-
 def R_star(spec: InformationSpectrum, eps: float) -> float:
     """Smallest rate k/n whose excess probability is at most eps.
 
@@ -154,21 +139,15 @@ def R_star_via_counting(spec: InformationSpectrum, a: float) -> tuple[float, flo
     return eps, length / spec.n
 
 
-def Rbar(spec: InformationSpectrum, method: str = "lengths") -> float:
+def Rbar(spec: InformationSpectrum) -> float:
     """Minimal expected compression rate (1/n) E[optimal codelength].
 
-    ``method='lengths'`` takes the mean of the exact codelength distribution;
-    ``method='excess'`` sums epsilon_star(k) over k >= 1.  Both are exact and
-    cross-check each other.
+    The mean of the exact codelength distribution; it also equals the sum
+    of epsilon_star(k) over k >= 1, divided by n.
     """
     spec.require_exact("Rbar")
-    if method == "lengths":
-        dist = length_distribution(spec)
-        return math.fsum(l * p for l, p in zip(dist.lengths, dist.probs)) / spec.n
-    if method == "excess":
-        kmax = spec.total_count.bit_length()
-        return math.fsum(epsilon_star(spec, k) for k in range(1, kmax + 1)) / spec.n
-    raise ValueError(f"unknown Rbar method {method!r}")
+    dist = length_distribution(spec)
+    return math.fsum(l * p for l, p in zip(dist.lengths, dist.probs)) / spec.n
 
 
 def integral_identity_check(spec: InformationSpectrum) -> float:
@@ -307,86 +286,3 @@ def prefix_R(spec: InformationSpectrum, eps: float) -> float:
             lo = mid + 1
     return hi / spec.n
 
-
-# ---------------------------------------------------------------------------
-# Encoder / decoder for enumerable alphabets
-# ---------------------------------------------------------------------------
-
-
-def _rank_to_bits(rank: int) -> str:
-    length = rank.bit_length() - 1
-    if length == 0:
-        return ""
-    return format(rank - (1 << length), f"0{length}b")
-
-
-def _bits_to_rank(bits: str) -> int:
-    if bits and set(bits) - {"0", "1"}:
-        raise ValueError(f"not a binary string: {bits!r}")
-    return (1 << len(bits)) + (int(bits, 2) if bits else 0)
-
-
-class OptimalCode:
-    """Explicit optimal code table for block strings over a small alphabet.
-
-    Strings are ranked by decreasing probability with lexicographic
-    tie-breaking in the alphabet's given symbol order; rank r maps to the
-    r-th binary string in {empty, 0, 1, 00, ...}.  Per-string probabilities
-    are evaluated from symbol counts so that every member of a type class
-    carries bit-identical probability and ties resolve purely by order.
-    """
-
-    def __init__(self, dist: FiniteDistribution, n: int, budget: Budgets | None = None):
-        budget = budget or default_budgets()
-        m = len(dist)
-        if m ** n > budget.enumeration:
-            raise BudgetExceededError(f"{m}^{n} strings exceed enumeration budget {budget.enumeration}")
-        self.dist = dist
-        self.n = n
-        self._index = {s: i for i, s in enumerate(dist.symbols)}
-
-        def string_prob(idx_tuple: tuple[int, ...]) -> float:
-            prob = 1.0
-            for a in range(m):
-                c = idx_tuple.count(a)
-                if c:
-                    prob *= dist.probs[a] ** c
-            return prob
-
-        ranked = sorted(
-            itertools.product(range(m), repeat=n),
-            key=lambda t: (-string_prob(t), t),
-        )
-        self._rank_of = {t: r + 1 for r, t in enumerate(ranked)}
-        self._string_of = ranked
-
-    def encode(self, x) -> str:
-        idx = []
-        for s in x:
-            if s not in self._index:
-                raise DistributionError(f"symbol {s!r} has zero probability or is unknown")
-            idx.append(self._index[s])
-        if len(idx) != self.n:
-            raise ValueError(f"expected a block of {self.n} symbols, got {len(idx)}")
-        return _rank_to_bits(self._rank_of[tuple(idx)])
-
-    def decode(self, bits: str):
-        rank = _bits_to_rank(bits)
-        if rank > len(self._string_of):
-            raise ValueError(f"codeword {bits!r} is outside the code")
-        return tuple(self.dist.symbols[i] for i in self._string_of[rank - 1])
-
-
-@lru_cache(maxsize=16)
-def _cached_code(dist: FiniteDistribution, n: int) -> OptimalCode:
-    return OptimalCode(dist, n)
-
-
-def encode(dist: FiniteDistribution, x) -> str:
-    """Optimal codeword for block ``x`` (symbols must have positive mass)."""
-    return _cached_code(dist, len(tuple(x))).encode(tuple(x))
-
-
-def decode(dist: FiniteDistribution, n: int, bits: str):
-    """Inverse of :func:`encode` for blocks of length ``n``."""
-    return _cached_code(dist, n).decode(bits)

@@ -29,11 +29,9 @@ __all__ = [
     "FiniteDistribution",
     "CountableDistribution",
     "MarkovSource",
-    "MomentSummary",
     "entropy",
     "varentropy",
     "third_abs_moment",
-    "moment_summary",
     "stationary_distribution",
     "markov_entropy_rate",
     "markov_varentropy_rate",
@@ -188,16 +186,6 @@ def binomial_distribution(n_trials: int, p: float) -> FiniteDistribution:
     return FiniteDistribution(tuple(symbols), tuple(probs))
 
 
-@dataclass(frozen=True)
-class MomentSummary:
-    """First three moments of the surprisal: entropy H (bits), varentropy
-    sigma2 (bits^2), third centered absolute moment mu3 (bits^3)."""
-
-    H: float
-    sigma2: float
-    mu3: float
-
-
 def entropy(dist: FiniteDistribution) -> float:
     """H = sum p * log2(1/p) in bits (zero-mass terms contribute nothing)."""
     return math.fsum(-p * math.log2(p) for p in dist.probs)
@@ -216,13 +204,6 @@ def third_abs_moment(dist: FiniteDistribution) -> float:
     """E|log2(1/p(X)) - H|^3 in bits^3."""
     h = entropy(dist)
     return math.fsum(p * abs(-math.log2(p) - h) ** 3 for p in dist.probs)
-
-
-def moment_summary(dist: FiniteDistribution) -> MomentSummary:
-    h = entropy(dist)
-    s2 = math.fsum(p * (-math.log2(p) - h) ** 2 for p in dist.probs)
-    m3 = math.fsum(p * abs(-math.log2(p) - h) ** 3 for p in dist.probs)
-    return MomentSummary(H=h, sigma2=s2, mu3=m3)
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +294,10 @@ class MarkovSource:
             raise StructuralError("states must label every row of the kernel")
         object.__setattr__(self, "states", states)
         if self.initial is not None:
-            init = np.zeros(kern.shape[0])
-            lookup = {s: i for i, s in enumerate(states)}
-            for s, p in zip(self.initial.symbols, self.initial.probs):
-                if s not in lookup:
+            for s in self.initial.symbols:
+                if s not in states:
                     raise StructuralError(f"initial law names unknown state {s!r}")
-                init[lookup[s]] = p
-        # eagerly resolve the initial law so queries share one immutable vector
+        # the initial vector is resolved lazily by initial_vector(), then cached
         object.__setattr__(self, "_init_vec", None)
 
     @property
@@ -389,66 +367,30 @@ def markov_entropy_rate(src: MarkovSource) -> float:
     return math.fsum(total)
 
 
-def markov_varentropy_rate(src: MarkovSource, tol: float = 1e-10, max_lag: int = 100_000) -> float:
+def markov_varentropy_rate(src: MarkovSource) -> float:
     """Varentropy rate: limiting Var(iota(X^n))/n, in bits^2 per step.
 
-    Computed as the stationary autocovariance series of the per-transition
-    surprisal f(s, s') = log2(1/P(s'|s)) on the pair chain:
+    It is the stationary autocovariance series of the per-transition
+    surprisal f(s, s') = log2(1/P(s'|s)) on the pair chain,
 
-        sigma^2 = Var(f) + 2 * sum_{d >= 1} Cov(f_1, f_{1+d}).
+        sigma^2 = Var(f) + 2 * sum_{d >= 1} w . P^(d-1) (u - H),
 
-    There is no two-letter closed form for this quantity, so the series is
-    summed until five consecutive covariance terms fall below ``tol`` and the
-    geometric tail estimate is negligible at that scale.  Uniformly ergodic
-    chains have geometrically decaying covariances, which makes the stopping
-    rule sound; if the budget is exhausted first (e.g. a periodic chain whose
-    covariances oscillate without decay) a ConvergenceError carries the
-    partial sum.
+    with u(s) the expected next-step surprisal from s and w(s') the weights
+    sum_s pi(s) P(s'|s) (f(s, s') - H).  The series sums in closed form via the
+    fundamental matrix Z = (I - P + 1 pi)^(-1) (Kemeny & Snell, *Finite
+    Markov Chains*): sigma^2 = Var(f) + 2 w . Z (u - H).  One linear solve,
+    no truncation; on periodic chains Z gives the Cesaro sum of the series.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     kern = src.kernel
     pi = _stationary_vector(kern)
     with np.errstate(divide="ignore"):
         f = np.where(kern > 0.0, -np.log2(np.where(kern > 0.0, kern, 1.0)), 0.0)
-    pf = kern * f  # P(s'|s) * f(s,s')
-    u = pf.sum(axis=1)  # expected next-step surprisal from each state
+    u = (kern * f).sum(axis=1)  # expected next-step surprisal from each state
     h = float(pi @ u)
     var0 = float(pi @ (kern * (f - h) ** 2).sum(axis=1))
-
-    weights = pi[:, None] * kern * (f - h)  # pi(s) P(s'|s) (f - H), summed against v(s')
-    v = u - h
-    cov_sum = 0.0
-    below = 0
-    recent: list[float] = []
-    for _ in range(1, max_lag + 1):
-        cov = float(weights.sum(axis=0) @ v)
-        cov_sum += cov
-        recent.append(abs(cov))
-        if len(recent) > 10:
-            recent.pop(0)
-        below = below + 1 if abs(cov) < tol else 0
-        if below >= 5:
-            tail = _geometric_tail(recent)
-            if tail < 10.0 * tol:
-                return var0 + 2.0 * cov_sum
-        v = kern @ v
-    raise ConvergenceError(
-        f"covariance series did not settle within {max_lag} lags",
-        partial=var0 + 2.0 * cov_sum,
-    )
-
-
-def _geometric_tail(recent: Sequence[float]) -> float:
-    """Upper estimate of the remaining series mass from recent |cov| terms."""
-    if len(recent) < 10:
-        return 0.0
-    head = max(recent[:5])
-    last = max(recent[5:])
-    if head <= 0.0:
-        return 0.0
-    ratio = min((last / head) ** 0.2, 0.999)
-    return 2.0 * last * ratio / (1.0 - ratio)
+    w = (pi[:, None] * kern * (f - h)).sum(axis=0)
+    fundamental = np.eye(len(pi)) - kern + pi[None, :]
+    return var0 + 2.0 * float(w @ np.linalg.solve(fundamental, u - h))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ compensated (exact) summation; masses whose surprisal values coincide within
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -36,11 +36,8 @@ __all__ = [
     "markov_spectrum_mc",
     "ccdf",
     "count_heavier",
-    "count_heavier_eq",
-    "quantile",
     "mean_info",
     "var_info",
-    "write_csv",
 ]
 
 
@@ -150,12 +147,17 @@ class InformationSpectrum:
         return 2.0 ** (-float(self.infos[index]))
 
     def self_check(self) -> float:
-        """Max relative mismatch between stored probs and count * 2^(-info)."""
+        """Max relative mismatch between stored probs and count * 2^(-info).
+
+        Masses below the smallest normal double (``sys.float_info.min``) are
+        skipped: subnormals carry too few significant bits for a relative
+        residual to mean anything.
+        """
         worst = 0.0
         for i, c in enumerate(self.counts):
             ref = count_times_pstring(c, float(self.infos[i]))
             p = float(self.probs[i])
-            if max(ref, p) > 0.0:
+            if max(ref, p) >= sys.float_info.min:
                 worst = max(worst, abs(ref - p) / max(ref, p))
         return worst
 
@@ -355,34 +357,10 @@ def count_heavier(spec: InformationSpectrum, beta: float) -> int:
     return _count_below(spec, level - _query_tol(level))
 
 
-def count_heavier_eq(spec: InformationSpectrum, beta: float) -> int:
-    """Number of strings with probability greater than or equal to 1/beta."""
-    spec.require_exact("count_heavier_eq")
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    level = math.log2(beta)
-    return _count_below(spec, level + _query_tol(level))
-
-
 def count_heavier_at_level(spec: InformationSpectrum, level_bits: float) -> int:
     """Strict-count variant taking the threshold directly in bits."""
     spec.require_exact("count_heavier_at_level")
     return _count_below(spec, level_bits - _query_tol(level_bits))
-
-
-def quantile(spec: InformationSpectrum, p: float) -> float:
-    """Smallest surprisal value where the CDF reaches (or jumps past) p.
-
-    Follows the staircase convention: if the CDF attains p on a plateau the
-    left endpoint of the plateau is returned; if p falls inside a jump, the
-    jump location is returned.
-    """
-    if not 0.0 < p <= 1.0:
-        raise ValueError("quantile order must lie in (0, 1]")
-    i = int(np.searchsorted(spec.cum_probs, p - 1e-12, side="left"))
-    if i >= len(spec.cum_probs):
-        i = len(spec.cum_probs) - 1
-    return float(spec.infos[i])
 
 
 def mean_info(spec: InformationSpectrum) -> float:
@@ -395,25 +373,3 @@ def var_info(spec: InformationSpectrum) -> float:
     mu = mean_info(spec)
     return math.fsum((spec.probs * (spec.infos - mu) ** 2).tolist())
 
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-
-def write_csv(spec: InformationSpectrum, path: str) -> None:
-    """CSV of masses plus a JSON sidecar recording exactness and blocklength."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("info_value_bits,probability,count\n")
-        for info, prob, count in zip(spec.infos, spec.probs, spec.counts):
-            fh.write(f"{float(info)!r},{float(prob)!r},{count}\n")
-    sidecar = {
-        "n": spec.n,
-        "exact": spec.exact,
-        "sample_size": spec.sample_size,
-        "mass_count": len(spec),
-        "total_string_count": str(spec.total_count),
-    }
-    with open(f"{path}.meta.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -38,6 +38,24 @@ def enumerate_markov(kernel, init, n):
     return [(p, -math.log2(p), path) for path, p in paths]
 
 
+def tilted_varentropy_rate(kernel, h=1e-4):
+    """Varentropy rate of an irreducible aperiodic chain, in bits^2 per step.
+
+    Large-deviation route, independent of the covariance series: the log
+    spectral radius Lambda(theta) = ln rho(P^(1-theta)) of the entrywise-tilted
+    kernel is the scaled cumulant generating function of the surprisal in nats
+    (Dembo & Zeitouni, *Large Deviations*, sec. 3.1), so the rate is
+    Lambda''(0) / (ln 2)^2, taken here by central differences with step h.
+    """
+    kern = np.asarray(kernel, dtype=np.float64)
+
+    def log_rho(theta):
+        tilted = np.where(kern > 0.0, kern ** (1.0 - theta), 0.0)
+        return math.log(float(np.max(np.abs(np.linalg.eigvals(tilted)))))
+
+    return (log_rho(h) - 2.0 * log_rho(0.0) + log_rho(-h)) / (h * h * math.log(2.0) ** 2)
+
+
 def sorted_probs(enumerated):
     """String probabilities in decreasing order."""
     return sorted((p for p, _, _ in enumerated), reverse=True)

@@ -9,8 +9,9 @@ from complimits.sources import (
     MarkovSource,
     bernoulli,
     iid_kernel,
-    moment_summary,
+    third_abs_moment,
     uniform_distribution,
+    varentropy,
 )
 from complimits.spectrum import iid_spectrum, markov_spectrum_exact, markov_spectrum_mc
 from complimits.optcode import R_star, epsilon_star
@@ -311,9 +312,8 @@ class TestCalibration:
 
     def test_iid_kernel_within_be_envelope(self):
         src = iid_kernel(B11)
-        m = moment_summary(B11)
         cal = markov_be_calibrate(src, [16, 64, 256], 100_000, seed=11)
-        envelope = m.mu3 / (2 * m.sigma2 ** 1.5)
+        envelope = third_abs_moment(B11) / (2 * varentropy(B11) ** 1.5)
         assert cal.a_hat <= envelope + 3 * cal.error_bar
 
     def test_deterministic_given_seed(self):

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 from complimits.cli import main
 
 B11_SRC = '{"type": "memoryless", "probs": [0.89, 0.11]}'
+CHAIN_SRC = '{"type": "markov", "kernel": [[0.9, 0.1], [0.2, 0.8]]}'
 
 
 def run_cli(args):
@@ -36,6 +38,39 @@ class TestExitCodes:
         code = run_cli(["bounds", "--source", '{"type":"memoryless","probs":[0.5,0.5]}',
                         "--n-min", "4", "--n-max", "5", "--eps", "0.1"])
         assert code == 4  # zero varentropy
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure2", "--n-min", "0"],
+            ["figure3", "--n-min", "5", "--n-max", "4"],
+            ["limits", "--source", B11_SRC, "--n-min", "2", "--n-max", "3", "--eps", "1.5"],
+            ["limits", "--source", B11_SRC, "--n-min", "2", "--n-max", "3", "--eps", "0.1", "-0.2"],
+            ["binning", "--source", B11_SRC, "--bins", "2", "--trials", "0"],
+            ["binning", "--source", B11_SRC, "--bins", "0"],
+            ["dispersion", "--source", B11_SRC, "--n-min", "10", "--n-max", "30", "--n-step", "0"],
+            ["spectrum", "--source", B11_SRC, "--n", "0"],
+            ["spectrum", "--source", CHAIN_SRC, "--n", "3", "--mc-samples", "-5"],
+            ["spectrum", "--source", B11_SRC, "--n", "3", "--mc-samples", "100"],
+        ],
+        ids=[
+            "n_min_zero",
+            "empty_range",
+            "eps_above_one",
+            "eps_negative",
+            "trials_zero",
+            "bins_zero",
+            "n_step_zero",
+            "n_zero",
+            "mc_samples_negative",
+            "mc_samples_memoryless",
+        ],
+    )
+    def test_invalid_option_is_config_error(self, capsys, argv):
+        assert run_cli(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigurationError"
+        assert err["exit_code"] == 2
 
     def test_success(self, capsys):
         assert run_cli(["spectrum", "--source", B11_SRC, "--n", "2"]) == 0
@@ -102,9 +137,8 @@ class TestSubcommands:
         assert len(lines) == 4
 
     def test_markov_spectrum_subcommand(self, capsys):
-        src = '{"type": "markov", "kernel": [[0.9, 0.1], [0.2, 0.8]]}'
-        assert run_cli(["spectrum", "--source", src, "--n", "3"]) == 0
-        assert run_cli(["spectrum", "--source", src, "--n", "4", "--mc-samples", "1000"]) == 0
+        assert run_cli(["spectrum", "--source", CHAIN_SRC, "--n", "3"]) == 0
+        assert run_cli(["spectrum", "--source", CHAIN_SRC, "--n", "4", "--mc-samples", "1000"]) == 0
 
     def test_json_format(self, capsys):
         run_cli(["spectrum", "--source", B11_SRC, "--n", "2", "--format", "json"])
@@ -127,6 +161,17 @@ class TestSubcommands:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 6
         assert lines[0].split(",")[1] == "exact_R_star_bits_per_symbol"
+
+    def test_figure3_honours_n_step(self, capsys):
+        assert run_cli(["figure3", "--n-min", "10", "--n-max", "20", "--n-step", "5"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert [line.split(",")[0] for line in lines[1:]] == ["10", "15", "20"]
+
+    def test_csv_counts_are_exact_decimals(self, tmp_path):
+        path = tmp_path / "big.csv"
+        assert run_cli(["spectrum", "--source", B11_SRC, "--n", "300", "-o", str(path)]) == 0
+        row = path.read_text().strip().split("\n")[151]
+        assert int(row.split(",")[2]) == math.comb(300, 150)
 
     def test_figure4_families(self, capsys):
         assert run_cli(["figure4"]) == 0

@@ -23,7 +23,6 @@ from complimits.optcode import (
 )
 from complimits.dispersion import (
     dispersion_estimate,
-    info_growth_bound,
     normalized_dispersion,
     rd_characterization_check,
     second_moment_gap,
@@ -189,9 +188,3 @@ class TestRdCharacterization:
         assert len(rows) == 2
         assert all(math.isfinite(r["value_bits2"]) for r in rows)
 
-
-class TestInfoGrowth:
-    def test_linear_growth_constant(self):
-        for n in (5, 20, 100):
-            s = iid_spectrum(B11, n)
-            assert info_growth_bound(s) <= -math.log2(0.11) + 1e-12

@@ -4,8 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from complimits.budgets import Budgets
-from complimits.errors import BudgetExceededError, DistributionError, UnsupportedSpectrumError
+from complimits.errors import UnsupportedSpectrumError
 from complimits.sources import (
     FiniteDistribution,
     MarkovSource,
@@ -15,17 +14,13 @@ from complimits.sources import (
 )
 from complimits.spectrum import iid_spectrum, markov_spectrum_mc
 from complimits.optcode import (
-    OptimalCode,
     R_star,
     R_star_via_counting,
     Rbar,
-    decode,
-    encode,
     epsilon_star,
     expected_length_equiprobable,
     integral_identity_check,
     length_distribution,
-    max_codeword_length,
     prefix_R,
     prefix_epsilon,
     rank_cut,
@@ -92,7 +87,7 @@ class TestEpsilonStar:
 
     def test_non_increasing_and_terminal_zero(self):
         s = iid_spectrum(FiniteDistribution.from_probs((0.5, 0.3, 0.2)), 5)
-        values = [epsilon_star(s, k) for k in range(0, max_codeword_length(s) + 2)]
+        values = [epsilon_star(s, k) for k in range(0, s.total_count.bit_length() + 1)]
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
         assert values[-1] == 0.0
 
@@ -176,9 +171,12 @@ class TestRbar:
         assert Rbar(s) == pytest.approx(10 / 7, abs=1e-12)
 
     def test_methods_agree(self):
+        # mean codelength = sum of the excess probabilities epsilon_star(k), k >= 1
         for n in (1, 4, 9):
             s = iid_spectrum(B11, n)
-            assert Rbar(s, "lengths") == pytest.approx(Rbar(s, "excess"), abs=1e-12)
+            kmax = s.total_count.bit_length()
+            excess_sum = math.fsum(epsilon_star(s, k) for k in range(1, kmax + 1)) / n
+            assert Rbar(s) == pytest.approx(excess_sum, abs=1e-12)
 
     def test_integral_identity(self):
         assert integral_identity_check(iid_spectrum(uniform_distribution(2), 2)) < 1e-12
@@ -261,63 +259,6 @@ class TestPrefixCoupling:
             eps = 0.5 * 3.0 ** -n  # below the least string mass
             assert R_star(s, eps) == pytest.approx(math.ceil(n * math.log2(3)) / n)
             assert prefix_R(s, eps) == pytest.approx((math.ceil(n * math.log2(3)) + 1) / n)
-
-
-class TestEncodeDecode:
-    def test_example_table_rows(self):
-        # alphabet (b, w) with P(b) > P(w): all-b maps to the empty string,
-        # b b b w to '0', all-w to '0000'
-        d = FiniteDistribution.from_probs((0.7, 0.3), symbols=("b", "w"))
-        assert encode(d, "bbbb") == ""
-        assert encode(d, "bbbw") == "0"
-        assert encode(d, "wwww") == "0000"
-        assert decode(d, 4, "0") == ("b", "b", "b", "w")
-
-    def test_single_symbol_alphabet(self):
-        d = FiniteDistribution.from_probs((1.0,), symbols=("z",))
-        assert encode(d, "zzz") == ""
-        assert decode(d, 3, "") == ("z", "z", "z")
-
-    def test_uniform_ties_lexicographic(self):
-        d = uniform_distribution(2)
-        words = [encode(d, x) for x in [(0, 0), (0, 1), (1, 0), (1, 1)]]
-        assert words == ["", "0", "1", "00"]
-
-    def test_roundtrip_all_strings(self):
-        d = FiniteDistribution.from_probs((0.5, 0.3, 0.2), symbols=("a", "b", "c"))
-        code = OptimalCode(d, 3)
-        seen = set()
-        import itertools
-
-        for x in itertools.product("abc", repeat=3):
-            w = code.encode(x)
-            assert code.decode(w) == x
-            assert w not in seen  # injectivity
-            seen.add(w)
-
-    def test_zero_probability_symbol_rejected(self):
-        d = FiniteDistribution.from_probs((0.5, 0.5, 0.0), symbols=("a", "b", "c"))
-        with pytest.raises(DistributionError):
-            encode(d, ("a", "c"))
-
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            OptimalCode(uniform_distribution(2), 20, Budgets(enumeration=1000))
-
-    def test_optimal_lengths_match_rank_rule(self):
-        d = FiniteDistribution.from_probs((0.6, 0.4))
-        code = OptimalCode(d, 4)
-        spec = iid_spectrum(d, 4)
-        dist_lengths = length_distribution(spec)
-        import itertools
-
-        observed = {}
-        for x in itertools.product(range(2), repeat=4):
-            l = len(code.encode(x))
-            p = math.prod(d.probs[i] for i in x)
-            observed[l] = observed.get(l, 0.0) + p
-        for l, p in zip(dist_lengths.lengths, dist_lengths.probs):
-            assert observed.get(l, 0.0) == pytest.approx(p, abs=1e-12)
 
 
 class TestBruteForceEquivalence:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from complimits.errors import ConvergenceError, DistributionError, StructuralError
+from complimits.errors import DistributionError, StructuralError
 from complimits.sources import (
     CountableDistribution,
     FiniteDistribution,
@@ -16,7 +16,6 @@ from complimits.sources import (
     load_source,
     markov_entropy_rate,
     markov_varentropy_rate,
-    moment_summary,
     poisson_distribution,
     stationary_distribution,
     third_abs_moment,
@@ -24,7 +23,7 @@ from complimits.sources import (
     varentropy,
 )
 
-from _oracles import enumerate_markov
+from _oracles import enumerate_markov, tilted_varentropy_rate
 
 
 def binary_entropy(p):
@@ -110,13 +109,6 @@ class TestMoments:
         d = FiniteDistribution.from_probs((0.25, 0.25, 0.0, 0.25, 0.25))
         assert varentropy(d) == pytest.approx(0.0, abs=1e-20)
 
-    def test_moment_summary_consistency(self):
-        d = bernoulli(0.3)
-        m = moment_summary(d)
-        assert m.H == entropy(d)
-        assert m.sigma2 == varentropy(d)
-        assert m.mu3 == third_abs_moment(d)
-
 
 class TestCountable:
     def test_geometric_truncation_mass(self):
@@ -160,6 +152,11 @@ class TestMarkovStructure:
     def test_aperiodic_flag(self):
         src = MarkovSource(np.array([[0.9, 0.1], [0.2, 0.8]]))
         assert src.period == 1
+
+    def test_initial_law_on_unknown_state_rejected(self):
+        initial = FiniteDistribution.from_probs((0.5, 0.5), symbols=("a", "b"))
+        with pytest.raises(StructuralError, match="unknown state 'a'"):
+            MarkovSource(np.array([[0.9, 0.1], [0.2, 0.8]]), initial=initial)
 
 
 class TestStationary:
@@ -252,12 +249,20 @@ class TestVarentropyRate:
             devs.append(abs(var / n - sigma2))
         assert all(a >= b - 1e-12 for a, b in zip(devs, devs[1:]))
 
-    def test_oscillating_chain_raises_with_partial(self):
-        # 2-cycle with unequal surprisals: covariances never decay
+    @pytest.mark.parametrize(
+        "kernel",
+        [[[0.9, 0.1], [0.2, 0.8]], [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]]],
+        ids=["paper_chain", "three_state"],
+    )
+    def test_matches_large_deviations_oracle(self, kernel):
+        rate = markov_varentropy_rate(MarkovSource(np.array(kernel)))
+        assert rate == pytest.approx(tilted_varentropy_rate(kernel), rel=1e-6)
+
+    def test_oscillating_chain_is_zero(self):
+        # 2-cycle with unequal surprisals: the covariances never decay, but
+        # every two steps carry exactly one bit, so Var(iota(X^n))/n -> 0
         cyc = MarkovSource(np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-        with pytest.raises(ConvergenceError) as err:
-            markov_varentropy_rate(cyc, max_lag=500)
-        assert err.value.partial is not None
+        assert markov_varentropy_rate(cyc) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestJsonLoading:

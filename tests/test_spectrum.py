@@ -1,5 +1,5 @@
-import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,14 +18,11 @@ from complimits.sources import (
 from complimits.spectrum import (
     ccdf,
     count_heavier,
-    count_heavier_eq,
     iid_spectrum,
     markov_spectrum_exact,
     markov_spectrum_mc,
     mean_info,
-    quantile,
     var_info,
-    write_csv,
 )
 
 from _oracles import enumerate_iid, enumerate_markov
@@ -88,6 +85,11 @@ class TestIidSpectrum:
 
     def test_self_check_log_space_consistency(self):
         assert iid_spectrum(B11, 64).self_check() < 1e-9
+        # exact counts whose least masses are subnormal (about 1e-322): those
+        # carry too few bits for a relative residual and must not count
+        skewed = iid_spectrum(FiniteDistribution.from_probs((0.98, 0.01, 0.01)), 300)
+        assert any(0.0 < p < sys.float_info.min for p in skewed.probs.tolist())
+        assert skewed.self_check() < 1e-9
 
     def test_huge_blocklength_probabilities_survive(self):
         s = iid_spectrum(bernoulli(0.5), 4000)  # per-string prob 2^-4000 underflows alone
@@ -198,47 +200,14 @@ class TestQueries:
         assert count_heavier(s, 1.0) == 0  # nothing exceeds probability 1
         assert count_heavier(s, 1 / 0.05) == 3
         assert count_heavier(s, 1 / 0.7921) == 0  # strict at the boundary
-        assert count_heavier_eq(s, 1 / 0.7921) == 1
-        assert count_heavier_eq(s, 1 / (0.89 * 0.11)) == 3
 
     def test_count_uniform_boundary(self):
         s = iid_spectrum(uniform_distribution(8), 1)
-        assert count_heavier_eq(s, 8.0) == 8
         assert count_heavier(s, 16.0) == 8
         assert count_heavier(s, 4.0) == 0  # beta below 1/max_prob
-
-    def test_quantile_conventions(self):
-        s = iid_spectrum(B11, 2)
-        assert quantile(s, 1.0) == pytest.approx(I_TT, abs=1e-12)
-        assert quantile(s, 0.9) == pytest.approx(I_HT, abs=1e-12)  # inside the jump
-        assert quantile(s, 0.7921) == pytest.approx(I_HH, abs=1e-12)  # attained on plateau
-        single = iid_spectrum(bernoulli(0.5), 3)
-        for p in (0.1, 0.5, 1.0):
-            assert quantile(single, p) == pytest.approx(3.0, abs=1e-12)
 
     def test_query_validation(self):
         s = iid_spectrum(B11, 2)
         with pytest.raises(ValueError):
-            quantile(s, 0.0)
-        with pytest.raises(ValueError):
             count_heavier(s, 0.5)
 
-
-class TestExport:
-    def test_csv_and_sidecar(self, tmp_path):
-        s = iid_spectrum(B11, 2)
-        path = tmp_path / "spec.csv"
-        write_csv(s, str(path))
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "info_value_bits,probability,count"
-        assert len(lines) == 4
-        meta = json.loads((tmp_path / "spec.csv.meta.json").read_text())
-        assert meta["n"] == 2 and meta["exact"] is True
-        assert meta["total_string_count"] == "4"
-
-    def test_csv_counts_are_exact_decimals(self, tmp_path):
-        s = iid_spectrum(bernoulli(0.11), 300)
-        path = tmp_path / "big.csv"
-        write_csv(s, str(path))
-        row = path.read_text().strip().split("\n")[151]
-        assert int(row.split(",")[2]) == math.comb(300, 150)
