@@ -15,7 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import __version__
 from .binning import BinningProblem, binning_error_exact, binning_error_mc
@@ -31,7 +31,7 @@ from .errors import (
     StructuralError,
     UnsupportedSpectrumError,
 )
-from .optcode import R_star, Rbar, epsilon_star, length_distribution, prefix_R, prefix_epsilon
+from .optcode import R_star, Rbar, epsilon_curve, length_distribution, prefix_epsilon_curve, rate_on_curve
 from .sources import (
     CountableDistribution,
     MarkovSource,
@@ -90,9 +90,7 @@ def _write_output(args, headers: Sequence[str], rows: list[tuple], meta_extra: d
         payload = {"columns": list(headers), "rows": [[_cell(v) for v in row] for row in rows], "meta": meta}
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
-        lines = [",".join(headers)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(_csv_lines(headers, rows)) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -101,6 +99,20 @@ def _write_output(args, headers: Sequence[str], rows: list[tuple], meta_extra: d
             fh.write("\n")
     else:
         sys.stdout.write(text)
+
+
+def _csv_lines(headers: Sequence[str], rows: list[tuple]) -> Iterator[str]:
+    """CSV lines; a cell that is the very object above it reuses that text
+    (identity, not equality: 1 == 1.0 and 0.0 == -0.0 print apart)."""
+    yield ",".join(headers)
+    above, texts = (), []
+    for row in rows:
+        if len(row) == len(above):
+            texts = [text if value is prev else _fmt(value) for value, prev, text in zip(row, above, texts)]
+        else:
+            texts = [_fmt(value) for value in row]
+        yield ",".join(texts)
+        above = row
 
 
 def _cell(value):
@@ -126,15 +138,20 @@ def _int_at_least(low: int):
     return parse
 
 
-def _eps_level(raw: str) -> float:
-    """argparse type: an excess-probability level in [0, 1)."""
-    try:
-        value = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {raw!r}") from None
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {raw}")
-    return value
+def _eps_level(high: float, zero_ok: bool = False):
+    """argparse type: an excess-probability level in (0, high), or [0, high)
+    with ``zero_ok``: the domain of the limits or bounds a command computes."""
+
+    def parse(raw: str) -> float:
+        try:
+            value = float(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {raw!r}") from None
+        if not (0.0 <= value < high if zero_ok else 0.0 < value < high):
+            raise argparse.ArgumentTypeError(f"must lie in {'[' if zero_ok else '('}0, {high:g}), got {raw}")
+        return value
+
+    return parse
 
 
 def _parse_int_range(args) -> range:
@@ -176,14 +193,11 @@ def _cmd_limits(args) -> None:
         except BudgetExceededError as exc:
             marker = {"truncated_at_n": n, "budget_note": str(exc)}
             break
-        rbar = Rbar(spec)
-        r_vals = [R_star(spec, e) for e in eps_list]
-        rp_vals = [prefix_R(spec, e) for e in eps_list]
-        kmax = spec.total_count.bit_length()
-        for k in range(kmax + 1):
-            rows.append(
-                (n, k, epsilon_star(spec, k), prefix_epsilon(spec, k + 1), rbar, *r_vals, *rp_vals)
-            )
+        curve = epsilon_curve(spec)
+        prefix = prefix_epsilon_curve(spec, curve)
+        per_n = (Rbar(spec), *[rate_on_curve(curve, n, e) for e in eps_list],
+                 *[rate_on_curve(prefix, n, e) for e in eps_list])
+        rows += [(n, k, eps_k, prefix[k + 1], *per_n) for k, eps_k in enumerate(curve)]
     if not rows:
         raise BudgetExceededError(marker.get("budget_note", "no blocklength fits the budget"))
     _write_output(args, headers, rows, marker)
@@ -343,12 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limits", help="exact limits per (n, k)")
     common(p, n_range=True)
-    p.add_argument("--eps", type=_eps_level, nargs="+", default=[0.1])
+    p.add_argument("--eps", type=_eps_level(1.0, zero_ok=True), nargs="+", default=[0.1])
     p.set_defaults(func=_cmd_limits)
 
     p = sub.add_parser("bounds", help="exact limit vs bounds over n")
     common(p, n_range=True)
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--eps", type=_eps_level(0.5), default=0.1)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("binning", help="random binning error")
@@ -368,13 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure2", help="exact rate vs approximations, long blocklengths")
     common(p, source=False, n_range=True)
     p.set_defaults(func=_cmd_rate_sweep, n_min=10, n_max=2000)
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--eps", type=_eps_level(1.0), default=0.1)
     p.add_argument("--bias", type=float, default=0.11)
 
     p = sub.add_parser("figure3", help="exact rate vs approximation, short blocklengths")
     common(p, source=False, n_range=True)
     p.set_defaults(func=_cmd_rate_sweep, n_min=10, n_max=200)
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--eps", type=_eps_level(1.0), default=0.1)
     p.add_argument("--bias", type=float, default=0.11)
 
     p = sub.add_parser("figure4", help="normalized dispersion vs entropy for three families")

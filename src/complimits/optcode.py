@@ -23,24 +23,25 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
-from .spectrum import InformationSpectrum, ccdf, count_heavier_at_level, count_times_pstring
+from .spectrum import InformationSpectrum, count_times_pstring
 
 __all__ = [
     "RankCut",
     "CodelengthDistribution",
     "rank_cut",
     "epsilon_star",
+    "epsilon_curve",
     "R_star",
-    "R_star_via_counting",
     "Rbar",
-    "integral_identity_check",
     "length_distribution",
     "expected_length_equiprobable",
     "var_length_equiprobable",
     "prefix_epsilon",
     "prefix_R",
+    "prefix_epsilon_curve",
+    "rate_on_curve",
 ]
 
 
@@ -84,8 +85,12 @@ def rank_cut(spec: InformationSpectrum, threshold: int) -> RankCut:
     p_string = _string_prob(info_i)
     prob_before = float(spec.cum_probs[i - 1]) if i > 0 else 0.0
     retained = prob_before + count_times_pstring(partial, info_i)
-    excess = float(spec.suffix_probs[i + 1]) + count_times_pstring(spec.counts[i] - partial, info_i)
-    return RankCut(threshold, i, before, prob_before, partial, p_string, retained, excess)
+    return RankCut(threshold, i, before, prob_before, partial, p_string, retained, _excess(spec, i, partial))
+
+
+def _excess(spec: InformationSpectrum, i: int, partial: int) -> float:
+    """Mass ranked after a cut that keeps ``partial`` strings of mass ``i``."""
+    return float(spec.suffix_probs[i + 1]) + count_times_pstring(spec.counts[i] - partial, float(spec.infos[i]))
 
 
 def epsilon_star(spec: InformationSpectrum, k: int) -> float:
@@ -103,6 +108,39 @@ def epsilon_star(spec: InformationSpectrum, k: int) -> float:
     return rank_cut(spec, (1 << k) - 1).excess_prob
 
 
+def epsilon_curve(spec: InformationSpectrum) -> list[float]:
+    """[epsilon_star(spec, k) for k in 0..total_count.bit_length()] in one pass.
+
+    The thresholds 2^k - 1 only grow with k, so one forward pointer over the
+    cumulative counts finds every cut that ``rank_cut`` bisects for.
+    """
+    spec.require_exact("epsilon_curve")
+    total, cum_counts = spec.total_count, spec.cum_counts
+    curve, i = [1.0], 0
+    for k in range(1, total.bit_length()):
+        threshold = (1 << k) - 1
+        while cum_counts[i] < threshold:
+            i += 1
+        curve.append(_excess(spec, i, threshold - (cum_counts[i - 1] if i > 0 else 0)))
+    return curve + [0.0]  # at k = total.bit_length(), 2^k - 1 >= total covers every string
+
+
+def _least_k(eps_at: Callable[[int], float], k_max: int, eps: float) -> int:
+    """Smallest k <= k_max with eps_at(k) <= eps, by the bisection every rate
+    search shares, so lazy and precomputed curves agree even where the float
+    curve is not monotone."""
+    if not 0.0 <= eps < 1.0:
+        raise ValueError("eps must lie in [0, 1)")
+    lo, hi = 0, k_max
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if eps_at(mid) <= eps:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
 def R_star(spec: InformationSpectrum, eps: float) -> float:
     """Smallest rate k/n whose excess probability is at most eps.
 
@@ -110,33 +148,13 @@ def R_star(spec: InformationSpectrum, eps: float) -> float:
     the returned k satisfies epsilon_star(k) <= eps < epsilon_star(k-1).
     """
     spec.require_exact("R_star")
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
-    lo, hi = 0, spec.total_count.bit_length()
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if epsilon_star(spec, mid) <= eps:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi / spec.n
+    return _least_k(lambda k: epsilon_star(spec, k), spec.total_count.bit_length(), eps) / spec.n
 
 
-def R_star_via_counting(spec: InformationSpectrum, a: float) -> tuple[float, float]:
-    """(eps, R) pair of the exact limit evaluated at surprisal threshold a.
-
-    eps = P[surprisal >= a]; the optimal code reaches that excess probability
-    at length ceil(log2(1 + M)) - 1 where M counts strings with probability
-    strictly above 2^(-a).  At M = 0 the length is -1: the degenerate
-    empty-string threshold, reported as-is together with eps = 1.
-    """
-    spec.require_exact("R_star_via_counting")
-    if a < 0.0:
-        raise ValueError("threshold must be nonnegative")
-    eps = ccdf(spec, a)
-    m_count = count_heavier_at_level(spec, a)
-    length = m_count.bit_length() - 1 if m_count >= 1 else -1
-    return eps, length / spec.n
+def rate_on_curve(curve: Sequence[float], n: int, eps: float) -> float:
+    """Smallest rate k/n with curve[k] <= eps: R_star(spec, eps) on
+    ``epsilon_curve(spec)`` and prefix_R(spec, eps) on its prefix curve."""
+    return _least_k(curve.__getitem__, len(curve) - 1, eps) / n
 
 
 def Rbar(spec: InformationSpectrum) -> float:
@@ -148,25 +166,6 @@ def Rbar(spec: InformationSpectrum) -> float:
     spec.require_exact("Rbar")
     dist = length_distribution(spec)
     return math.fsum(l * p for l, p in zip(dist.lengths, dist.probs)) / spec.n
-
-
-def integral_identity_check(spec: InformationSpectrum) -> float:
-    """Residual of the identity  Rbar = integral_0^1 R_star(x) dx - 1/n.
-
-    The integral is evaluated exactly as a staircase sum over the intervals
-    where R_star is constant, so the residual should vanish to rounding.
-    """
-    spec.require_exact("integral_identity_check")
-    kmax = spec.total_count.bit_length()
-    n = spec.n
-    eps_prev = 1.0  # epsilon_star at k-1, starting from k = 1
-    terms = []
-    for k in range(1, kmax + 1):
-        eps_k = epsilon_star(spec, k)
-        terms.append((k / n) * (eps_prev - eps_k))
-        eps_prev = eps_k
-    integral = math.fsum(terms)
-    return abs(Rbar(spec) - (integral - 1.0 / n))
 
 
 @dataclass(frozen=True)
@@ -275,14 +274,11 @@ def prefix_R(spec: InformationSpectrum, eps: float) -> float:
     Both branches fall out of searching prefix_epsilon directly.
     """
     spec.require_exact("prefix_R")
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
-    lo, hi = 0, spec.total_count.bit_length() + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if prefix_epsilon(spec, mid) <= eps:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi / spec.n
+    return _least_k(lambda k: prefix_epsilon(spec, k), spec.total_count.bit_length() + 1, eps) / spec.n
 
+
+def prefix_epsilon_curve(spec: InformationSpectrum, curve: Sequence[float]) -> list[float]:
+    """[prefix_epsilon(spec, k) for k in 0..len(curve)], read off
+    ``curve = epsilon_curve(spec)`` by the one-bit shift."""
+    total = spec.total_count
+    return [1.0] + [eps if (1 << k) < total else 0.0 for k, eps in enumerate(curve)]

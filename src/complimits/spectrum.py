@@ -343,24 +343,14 @@ def ccdf(spec: InformationSpectrum, a: float) -> float:
     return float(spec.suffix_probs[i])
 
 
-def _count_below(spec: InformationSpectrum, bound: float) -> int:
-    i = int(np.searchsorted(spec.infos, bound, side="left"))
-    return spec.cum_counts[i - 1] if i > 0 else 0
-
-
 def count_heavier(spec: InformationSpectrum, beta: float) -> int:
     """Number of strings with probability strictly greater than 1/beta."""
     spec.require_exact("count_heavier")
     if beta < 1.0:
         raise ValueError("beta must be at least 1")
     level = math.log2(beta)
-    return _count_below(spec, level - _query_tol(level))
-
-
-def count_heavier_at_level(spec: InformationSpectrum, level_bits: float) -> int:
-    """Strict-count variant taking the threshold directly in bits."""
-    spec.require_exact("count_heavier_at_level")
-    return _count_below(spec, level_bits - _query_tol(level_bits))
+    i = int(np.searchsorted(spec.infos, level - _query_tol(level), side="left"))
+    return spec.cum_counts[i - 1] if i > 0 else 0
 
 
 def mean_info(spec: InformationSpectrum) -> float:

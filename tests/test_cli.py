@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -5,7 +6,10 @@ import sys
 
 import pytest
 
-from complimits.cli import main
+from complimits.cli import _fmt, _write_output, main
+from complimits.optcode import R_star, Rbar, epsilon_star, prefix_R, prefix_epsilon
+from complimits.sources import bernoulli
+from complimits.spectrum import iid_spectrum
 
 B11_SRC = '{"type": "memoryless", "probs": [0.89, 0.11]}'
 CHAIN_SRC = '{"type": "markov", "kernel": [[0.9, 0.1], [0.2, 0.8]]}'
@@ -52,6 +56,10 @@ class TestExitCodes:
             ["spectrum", "--source", B11_SRC, "--n", "0"],
             ["spectrum", "--source", CHAIN_SRC, "--n", "3", "--mc-samples", "-5"],
             ["spectrum", "--source", B11_SRC, "--n", "3", "--mc-samples", "100"],
+            ["figure2", "--n-min", "10", "--n-max", "11", "--eps", "0"],
+            ["figure3", "--n-min", "10", "--n-max", "11", "--eps", "1.5"],
+            ["bounds", "--source", B11_SRC, "--n-min", "10", "--n-max", "11", "--eps", "0"],
+            ["bounds", "--source", B11_SRC, "--n-min", "10", "--n-max", "11", "--eps", "0.5"],
         ],
         ids=[
             "n_min_zero",
@@ -64,6 +72,10 @@ class TestExitCodes:
             "n_zero",
             "mc_samples_negative",
             "mc_samples_memoryless",
+            "figure2_eps_zero",
+            "figure3_eps_above_one",
+            "bounds_eps_zero",
+            "bounds_eps_half",
         ],
     )
     def test_invalid_option_is_config_error(self, capsys, argv):
@@ -121,6 +133,29 @@ class TestSubcommands:
         ]
         assert "R_star_bits_per_symbol_eps_0.1" in header
         assert "prefix_R_bits_per_symbol_eps_0.2" in header
+
+    def test_limits_cells_match_per_row_route(self, capsys):
+        eps_list = (0.01, 0.05, 0.1, 0.2)
+        argv = ["limits", "--source", B11_SRC, "--n-min", "10", "--n-max", "40", "--eps", *map(str, eps_list)]
+        assert run_cli(argv) == 0
+        lines = capsys.readouterr().out.strip().split("\n")[1:]
+        expected = []
+        for n in range(10, 41):
+            s = iid_spectrum(bernoulli(0.11), n)
+            per_n = [Rbar(s), *(R_star(s, e) for e in eps_list), *(prefix_R(s, e) for e in eps_list)]
+            for k in range(s.total_count.bit_length() + 1):
+                cells = [n, k, epsilon_star(s, k), prefix_epsilon(s, k + 1), *per_n]
+                expected.append(",".join(_fmt(v) for v in cells))
+        assert lines == expected
+        assert run_cli([*argv, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == len(expected)
+        assert all(type(v) in (int, float) for row in rows for v in row)
+
+    def test_csv_writer_keeps_equal_values_apart(self, capsys):
+        args = argparse.Namespace(command="test", format="csv", output=None)
+        _write_output(args, ["x"], [(1,), (1.0,), (0.0,), (-0.0,)], {})
+        assert capsys.readouterr().out == "x\n1\n1.0\n0.0\n-0.0\n"
 
     def test_bounds_rows(self, capsys):
         run_cli(["bounds", "--source", B11_SRC, "--n-min", "30", "--n-max", "32", "--eps", "0.1"])

@@ -12,18 +12,19 @@ from complimits.sources import (
     geometric_distribution,
     uniform_distribution,
 )
-from complimits.spectrum import iid_spectrum, markov_spectrum_mc
+from complimits.spectrum import ccdf, iid_spectrum, markov_spectrum_exact, markov_spectrum_mc
 from complimits.optcode import (
     R_star,
-    R_star_via_counting,
     Rbar,
+    epsilon_curve,
     epsilon_star,
     expected_length_equiprobable,
-    integral_identity_check,
     length_distribution,
     prefix_R,
     prefix_epsilon,
+    prefix_epsilon_curve,
     rank_cut,
+    rate_on_curve,
     var_length_equiprobable,
 )
 
@@ -40,6 +41,44 @@ from _oracles import (
 
 B11 = bernoulli(0.11)
 S11_2 = iid_spectrum(B11, 2)
+
+
+def count_heavier_at_level(spec, level_bits):
+    """Number of strings with probability strictly above 2^(-level_bits),
+    with the spectrum queries' relative tolerance of 1e-12."""
+    i = int(np.searchsorted(spec.infos, level_bits - 1e-12 * max(1.0, abs(level_bits)), side="left"))
+    return spec.cum_counts[i - 1] if i > 0 else 0
+
+
+def R_star_via_counting(spec, a):
+    """(eps, R) pair of the exact limit evaluated at surprisal threshold a.
+
+    eps = P[surprisal >= a]; the optimal code reaches that excess probability
+    at length ceil(log2(1 + M)) - 1 where M counts strings with probability
+    strictly above 2^(-a).  At M = 0 the length is -1: the degenerate
+    empty-string threshold, reported as-is together with eps = 1.
+    """
+    m_count = count_heavier_at_level(spec, a)
+    length = m_count.bit_length() - 1 if m_count >= 1 else -1
+    return ccdf(spec, a), length / spec.n
+
+
+def integral_identity_check(spec):
+    """Residual of the identity  Rbar = integral_0^1 R_star(x) dx - 1/n.
+
+    The integral is evaluated exactly as a staircase sum over the intervals
+    where R_star is constant, so the residual should vanish to rounding.
+    """
+    kmax = spec.total_count.bit_length()
+    n = spec.n
+    eps_prev = 1.0  # epsilon_star at k-1, starting from k = 1
+    terms = []
+    for k in range(1, kmax + 1):
+        eps_k = epsilon_star(spec, k)
+        terms.append((k / n) * (eps_prev - eps_k))
+        eps_prev = eps_k
+    integral = math.fsum(terms)
+    return abs(Rbar(spec) - (integral - 1.0 / n))
 
 
 class TestRankCut:
@@ -100,6 +139,36 @@ class TestEpsilonStar:
         mc = markov_spectrum_mc(MarkovSource(np.array([[0.9, 0.1], [0.2, 0.8]])), 4, 100, 0)
         with pytest.raises(UnsupportedSpectrumError):
             epsilon_star(mc, 1)
+
+
+class TestEpsilonCurve:
+    """The one-pass curve and the rates read off it, against the per-k path."""
+
+    SPECTRA = {
+        "bernoulli_n300": lambda: iid_spectrum(B11, 300),  # counts beyond 2^53
+        "uniform2": lambda: iid_spectrum(uniform_distribution(2), 12),  # one class across every dyadic block
+        "three_letter": lambda: iid_spectrum(FiniteDistribution.from_probs((0.6, 0.3, 0.1)), 20),
+        "dyadic": lambda: iid_spectrum(FiniteDistribution.from_probs((0.5, 0.25, 0.125, 0.125)), 8),
+        "markov": lambda: markov_spectrum_exact(MarkovSource(np.array([[0.9, 0.1], [0.2, 0.8]])), 10),
+    }
+
+    @pytest.mark.parametrize("name", SPECTRA)
+    def test_bit_identical_to_per_k_path(self, name):
+        s = self.SPECTRA[name]()
+        kmax = s.total_count.bit_length()
+        curve = epsilon_curve(s)
+        assert curve == [epsilon_star(s, k) for k in range(kmax + 1)]
+        prefix = prefix_epsilon_curve(s, curve)
+        assert prefix == [prefix_epsilon(s, k) for k in range(kmax + 2)]
+        ladder = {x for v in set(curve) for x in (v, math.nextafter(v, -1.0), math.nextafter(v, 2.0))}
+        for eps in sorted(x for x in ladder if 0.0 <= x < 1.0):
+            assert rate_on_curve(curve, s.n, eps) == R_star(s, eps)
+            assert rate_on_curve(prefix, s.n, eps) == prefix_R(s, eps)
+
+    def test_mc_spectrum_rejected(self):
+        mc = markov_spectrum_mc(MarkovSource(np.array([[0.9, 0.1], [0.2, 0.8]])), 4, 100, 0)
+        with pytest.raises(UnsupportedSpectrumError):
+            epsilon_curve(mc)
 
 
 class TestRStar:
