@@ -8,16 +8,19 @@ count as an arbitrary-precision integer, which is what makes rank arithmetic
 work at blocklengths in the thousands where counts overflow any float.
 
 Masses are sorted by increasing surprisal, i.e. decreasing per-string
-probability.  Probabilities are computed in log space and summed with
-compensated (exact) summation; masses whose surprisal values coincide within
-1e-12 bits are merged so that counting queries are well defined.
+probability.  A mass probability is count * 2^(-surprisal), through log space
+only for counts beyond 53 bits or surprisals beyond 1000 bits.  Masses within
+1e-12 bits of the first surprisal of their group merge, with ``math.fsum``
+over their probabilities, so that counting queries are well defined; queries
+read Kahan-compensated prefix and suffix sums.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -55,16 +58,17 @@ def count_times_pstring(count: int, info: float) -> float:
 
 def _kahan_prefix(values: np.ndarray) -> np.ndarray:
     """Running compensated prefix sums of a 1-D float array."""
-    out = np.empty(len(values))
+    out = []
+    append = out.append
     s = 0.0
     c = 0.0
-    for i, x in enumerate(values):
+    for x in values.tolist():
         y = x - c
         t = s + y
         c = (t - s) - y
         s = t
-        out[i] = s
-    return out
+        append(s)
+    return np.array(out)
 
 
 def _query_tol(x: float) -> float:
@@ -101,12 +105,12 @@ class InformationSpectrum:
     ):
         infos_arr = np.asarray(infos, dtype=np.float64)
         probs_arr = np.asarray(probs, dtype=np.float64)
-        counts_t = tuple(int(c) for c in counts)
+        counts_t = tuple(map(int, counts))
         if not (len(infos_arr) == len(probs_arr) == len(counts_t)) or len(infos_arr) == 0:
             raise DistributionError("spectrum needs equal-length, nonempty mass arrays")
         if np.any(np.diff(infos_arr) <= 0.0):
             raise DistributionError("surprisal values must be strictly increasing")
-        if any(c < 1 for c in counts_t):
+        if min(counts_t) < 1:
             raise DistributionError("mass counts must be positive integers")
         total = math.fsum(probs_arr.tolist())
         if abs(total - 1.0) > PROB_CHECK_TOL:
@@ -124,12 +128,7 @@ class InformationSpectrum:
         self.suffix_probs = np.concatenate([_kahan_prefix(probs_arr[::-1])[::-1], [0.0]])
         self.cum_probs.setflags(write=False)
         self.suffix_probs.setflags(write=False)
-        cc = []
-        run = 0
-        for c in counts_t:
-            run += c
-            cc.append(run)
-        self.cum_counts = tuple(cc)
+        self.cum_counts = tuple(itertools.accumulate(counts_t))
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -162,22 +161,29 @@ class InformationSpectrum:
         return worst
 
 
-def _merge_masses(raw: Iterable[tuple[float, float, int]], n: int, exact: bool, sample_size: int = 0) -> InformationSpectrum:
-    """Sort raw (info, prob, count) triples and merge values within 1e-12 bits."""
-    triples = sorted(raw, key=lambda t: t[0])
-    infos: list[float] = []
-    probs_groups: list[list[float]] = []
-    counts: list[int] = []
-    for info, prob, count in triples:
-        if infos and info - infos[-1] <= MERGE_TOL:
-            probs_groups[-1].append(prob)
-            counts[-1] += count
-        else:
-            infos.append(info)
-            probs_groups.append([prob])
-            counts.append(count)
-    probs = [math.fsum(g) for g in probs_groups]
-    return InformationSpectrum(infos, probs, counts, n=n, exact=exact, sample_size=sample_size)
+def _finish(infos: np.ndarray, probs: Sequence[float], counts: Sequence[int], n: int) -> InformationSpectrum:
+    """Exact spectrum from unsorted mass columns: sort by surprisal, then merge.
+
+    A mass joins the current group when its surprisal is within MERGE_TOL
+    bits of the group's first surprisal.  A merged group takes the
+    ``math.fsum`` of its probabilities in sorted order and the exact sum of
+    its counts; a lone mass keeps its probability as it is.
+    """
+    order = np.argsort(infos, kind="stable")
+    infos, probs = infos[order], np.asarray(probs, dtype=np.float64)[order]
+    counts = [counts[i] for i in order.tolist()]
+    starts = np.ones(len(infos), dtype=bool)
+    for i in (np.flatnonzero(np.diff(infos) <= MERGE_TOL) + 1).tolist():  # only these can join
+        if starts[i - 1]:
+            anchor = infos[i - 1]
+        starts[i] = infos[i] - anchor > MERGE_TOL
+    if not starts.all():
+        firsts = np.flatnonzero(starts).tolist()
+        groups = list(zip(firsts, firsts[1:] + [len(starts)]))
+        plist = probs.tolist()
+        infos, probs = infos[firsts], [math.fsum(plist[a:b]) for a, b in groups]
+        counts = [sum(counts[a:b]) for a, b in groups]
+    return InformationSpectrum(infos, probs, counts, n=n, exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +224,8 @@ def iid_spectrum(dist: FiniteDistribution, n: int, budget: Budgets | None = None
 
     One mass per type class: a class with symbol counts (n_a) has surprisal
     sum(n_a * iota_a), exact string count n!/prod(n_a!), and probability
-    count * prod(p_a^{n_a}) evaluated in log space.  The number of classes is
-    C(n+|A|-1, |A|-1), which must fit the configured budget.
+    count * 2^(-surprisal) (``count_times_pstring``).  The number of classes
+    is C(n+|A|-1, |A|-1), which must fit the configured budget.
     """
     if n < 1:
         raise ValueError("blocklength must be at least 1")
@@ -231,30 +237,25 @@ def iid_spectrum(dist: FiniteDistribution, n: int, budget: Budgets | None = None
             f"{n_classes} type classes exceed budget {budget.type_classes}",
             suggestion="raise COMPLIMITS_TYPE_CLASS_BUDGET or sample with markov_spectrum_mc",
         )
-    iotas = [-math.log2(p) for p in dist.probs]
-
-    def masses() -> Iterator[tuple[float, float, int]]:
-        if m == 1:
-            yield (n * iotas[0], 1.0, 1)
-            return
-        if n == 1:
-            for p, iota in zip(dist.probs, iotas):
-                yield (iota, p, 1)
-            return
-        if m == 2:
-            i0, i1 = iotas
-            count = 1  # running exact binomial coefficient C(n, k)
-            for k in range(n + 1):
-                info = math.fsum(((n - k) * i0, k * i1))
-                yield (info, count_times_pstring(count, info), count)
-                count = count * (n - k) // (k + 1)
-            return
-        for comp in _compositions(n, m):
-            count = _multinomial(n, comp)
-            info = math.fsum(c * it for c, it in zip(comp, iotas))
-            yield (info, count_times_pstring(count, info), count)
-
-    return _merge_masses(masses(), n=n, exact=True)
+    iotas = [0.0 - math.log2(p) for p in dist.probs]  # 0.0 - x, not -x: a certain symbol costs +0.0 bits
+    if m == 1:
+        return _finish(np.array([n * iotas[0]]), [1.0], [1], n)
+    if n == 1:
+        return _finish(np.array(iotas), dist.probs, [1] * m, n)
+    if m == 2:
+        i0, i1 = iotas
+        half = [1]  # C(n, k) for k <= n/2 by the running exact binomial
+        for k in range(n // 2):
+            half.append(half[-1] * (n - k) // (k + 1))
+        counts = half + half[: n + 1 - len(half)][::-1]
+        k = np.arange(n + 1, dtype=np.float64)
+        infos = (n - k) * i0 + k * i1  # one correctly rounded add, as math.fsum of the two products
+    else:
+        comps = list(_compositions(n, m))
+        counts = [_multinomial(n, comp) for comp in comps]
+        infos = np.array([math.fsum(c * it for c, it in zip(comp, iotas)) for comp in comps])
+    probs = [count_times_pstring(c, x) for c, x in zip(counts, infos.tolist())]
+    return _finish(infos, probs, counts, n)
 
 
 def markov_spectrum_exact(src: MarkovSource, n: int, budget: Budgets | None = None) -> InformationSpectrum:
@@ -275,19 +276,20 @@ def markov_spectrum_exact(src: MarkovSource, n: int, budget: Budgets | None = No
         )
     kern = src.kernel
     init = src.initial_vector()
-    raw: list[tuple[float, float, int]] = []
-    # iterative DFS: (state, depth, prob, info)
-    stack = [(s, 1, float(init[s]), -math.log2(init[s])) for s in range(m - 1, -1, -1) if init[s] > 0.0]
+    infos, probs = [], []
+    # iterative DFS: (state, depth, prob, info); 0.0 - x keeps a certain start at +0.0 bits
+    stack = [(s, 1, float(init[s]), 0.0 - math.log2(init[s])) for s in range(m - 1, -1, -1) if init[s] > 0.0]
     while stack:
         state, depth, prob, info = stack.pop()
         if depth == n:
-            raw.append((info, prob, 1))
+            infos.append(info)
+            probs.append(prob)
             continue
         for nxt in range(m - 1, -1, -1):
             p = float(kern[state, nxt])
             if p > 0.0:
                 stack.append((nxt, depth + 1, prob * p, info - math.log2(p)))
-    return _merge_masses(raw, n=n, exact=True)
+    return _finish(np.array(infos), probs, [1] * len(infos), n)
 
 
 def markov_spectrum_mc(src: MarkovSource, n: int, samples: int, seed: int) -> InformationSpectrum:

@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from complimits.budgets import Budgets
 from complimits.errors import BudgetExceededError, UnsupportedSpectrumError
@@ -16,8 +18,11 @@ from complimits.sources import (
     varentropy,
 )
 from complimits.spectrum import (
+    MERGE_TOL,
+    _finish,
     ccdf,
     count_heavier,
+    count_times_pstring,
     iid_spectrum,
     markov_spectrum_exact,
     markov_spectrum_mc,
@@ -32,6 +37,110 @@ B11 = bernoulli(0.11)
 I_HH = -2 * math.log2(0.89)
 I_HT = -math.log2(0.89) - math.log2(0.11)
 I_TT = -2 * math.log2(0.11)
+PAPER_CHAIN = MarkovSource(np.array([[0.9, 0.1], [0.2, 0.8]]))
+
+
+# ---------------------------------------------------------------------------
+# Per-mass reference path: one (info, prob, count) triple per type class or
+# path, sorted and merged one mass at a time, with the cumulative arrays
+# summed over NumPy scalars.  The column constructors must match it bit for
+# bit.  Enumeration order cannot show: tied masses carry equal surprisals and
+# math.fsum is exact, so compositions are listed here in their own order.
+# ---------------------------------------------------------------------------
+
+
+def _ref_compositions(n, m):
+    if m == 1:
+        yield (n,)
+        return
+    for k in range(n + 1):
+        for rest in _ref_compositions(n - k, m - 1):
+            yield (k,) + rest
+
+
+def _ref_iid_triples(probs, n):
+    m = len(probs)
+    iotas = [-math.log2(p) for p in probs]
+    if m == 1:
+        yield (n * iotas[0], 1.0, 1)
+        return
+    if n == 1:
+        for p, iota in zip(probs, iotas):
+            yield (iota, p, 1)
+        return
+    if m == 2:
+        i0, i1 = iotas
+        count = 1
+        for k in range(n + 1):
+            info = math.fsum(((n - k) * i0, k * i1))
+            yield (info, count_times_pstring(count, info), count)
+            count = count * (n - k) // (k + 1)
+        return
+    for comp in _ref_compositions(n, m):
+        count = math.factorial(n)
+        for c in comp:
+            count //= math.factorial(c)
+        info = math.fsum(c * it for c, it in zip(comp, iotas))
+        yield (info, count_times_pstring(count, info), count)
+
+
+def _ref_markov_triples(src, n):
+    kern, init, m = src.kernel, src.initial_vector(), src.n_states
+    stack = [(s, 1, float(init[s]), -math.log2(init[s])) for s in range(m - 1, -1, -1) if init[s] > 0.0]
+    while stack:
+        state, depth, prob, info = stack.pop()
+        if depth == n:
+            yield (info, prob, 1)
+            continue
+        for nxt in range(m - 1, -1, -1):
+            p = float(kern[state, nxt])
+            if p > 0.0:
+                stack.append((nxt, depth + 1, prob * p, info - math.log2(p)))
+
+
+def _ref_kahan(values):
+    out = np.empty(len(values))
+    s = c = 0.0
+    for i, x in enumerate(values):
+        y = x - c
+        t = s + y
+        c = (t - s) - y
+        s = t
+        out[i] = s
+    return out
+
+
+def _reference(triples):
+    infos, groups, counts = [], [], []
+    for info, prob, count in sorted(triples, key=lambda t: t[0]):
+        if infos and info - infos[-1] <= MERGE_TOL:
+            groups[-1].append(prob)
+            counts[-1] += count
+        else:
+            infos.append(info)
+            groups.append([prob])
+            counts.append(count)
+    probs = np.array([math.fsum(g) for g in groups])
+    cum_counts, run = [], 0
+    for c in counts:
+        run += c
+        cum_counts.append(run)
+    return {
+        "infos": np.array(infos),
+        "probs": probs,
+        "counts": tuple(counts),
+        "cum_probs": _ref_kahan(probs),
+        "suffix_probs": np.concatenate([_ref_kahan(probs[::-1])[::-1], [0.0]]),
+        "cum_counts": tuple(cum_counts),
+    }
+
+
+def _assert_matches_reference(spec, triples):
+    ref = _reference(triples)
+    for field in ("infos", "probs", "cum_probs", "suffix_probs"):
+        assert np.array_equal(getattr(spec, field), ref[field]), field
+    assert spec.counts == ref["counts"]
+    assert spec.cum_counts == ref["cum_counts"]
 
 
 class TestIidSpectrum:
@@ -94,6 +203,64 @@ class TestIidSpectrum:
     def test_huge_blocklength_probabilities_survive(self):
         s = iid_spectrum(bernoulli(0.5), 4000)  # per-string prob 2^-4000 underflows alone
         assert s.probs[0] == pytest.approx(1.0, abs=1e-9)
+
+
+class TestColumnConstructors:
+    @pytest.mark.parametrize(
+        "probs, n",
+        [((0.89, 0.11), n) for n in (1, 2, 59, 300, 1100, 2000)]  # log2 of >1024-bit counts, >1000-bit flush
+        + [
+            ((0.5, 0.5), 40),  # one tie class
+            ((0.3, 0.7), 59),  # surprisal falls as k grows
+            ((0.999, 0.001), 2000),  # probabilities underflow to 0
+            ((0.25,) * 4, 3),  # every class merges into one mass
+            ((0.5, 0.25, 0.25), 30),  # tie merges
+            ((0.6, 0.3, 0.1), 50),
+        ],
+    )
+    def test_iid_bit_identical_to_per_mass_path(self, probs, n):
+        dist = FiniteDistribution.from_probs(probs)
+        _assert_matches_reference(iid_spectrum(dist, n), _ref_iid_triples(dist.probs, n))
+
+    def test_markov_bit_identical_to_per_mass_path(self):
+        _assert_matches_reference(markov_spectrum_exact(PAPER_CHAIN, 10), _ref_markov_triples(PAPER_CHAIN, 10))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        letters=st.lists(
+            st.one_of(st.sampled_from([1 / 2, 1 / 4, 1 / 8, 1 / 3]), st.floats(0.01, 0.5)),
+            min_size=1,
+            max_size=3,
+        ),
+        n=st.integers(1, 12),
+    )
+    def test_random_laws_bit_identical_to_per_mass_path(self, letters, n):
+        # the last letter takes the rest, so dyadic or third draws leave exact
+        # ties and near-ties within MERGE_TOL (1 - 2/3 is not 1/3)
+        rest = 1.0 - math.fsum(letters)
+        if rest < 0.01:
+            return
+        dist = FiniteDistribution.from_probs(letters + [rest])
+        _assert_matches_reference(iid_spectrum(dist, n), _ref_iid_triples(dist.probs, n))
+
+    def test_merge_joins_the_first_mass_of_a_group(self):
+        # 1.2e-12 is within MERGE_TOL of 0.6e-12 but not of 0.0, the first
+        # surprisal of its group, so it starts a new mass
+        s = _finish(np.array([1.2e-12, 0.0, 0.6e-12]), [0.7, 0.1, 0.2], [5, 1, 2], n=1)
+        assert s.infos.tolist() == [0.0, 1.2e-12]
+        assert s.probs.tolist() == [math.fsum([0.1, 0.2]), 0.7]
+        assert s.counts == (3, 5)
+
+    def test_certain_symbol_has_positive_zero_surprisal(self):
+        s = iid_spectrum(FiniteDistribution.from_probs((1.0, 0.0)), 3)
+        assert s.counts == (1,)
+        assert math.copysign(1.0, float(s.infos[0])) == 1.0
+
+    def test_certain_path_has_positive_zero_surprisal(self):
+        cyc = MarkovSource(np.array([[0.0, 1.0], [1.0, 0.0]]), initial=FiniteDistribution.from_probs((1.0, 0.0)))
+        s = markov_spectrum_exact(cyc, 4)
+        assert s.counts == (1,)
+        assert math.copysign(1.0, float(s.infos[0])) == 1.0
 
 
 class TestMarkovSpectrum:
