@@ -12,6 +12,12 @@ which this module evaluates both as the direct sum (small J) and through the
 closed form  (N/J) q^M (1 - q^J)  with q = 1 - 1/N (large J); the two paths
 cross-check each other.  N = 1 is legitimate: the decoder simply guesses the
 global argmax.
+
+The Monte-Carlo cross-check reads one PCG64 stream per seed in a fixed
+order: the bins row-major by trial x symbol, then the realizations, then
+the tie picks.  It streams the bins in blocks of MC_BLOCK_CELLS trial-symbol
+cells, so its memory is O(MC_BLOCK_CELLS + 16 bytes x trials) for any
+support size; the block size never changes the estimate.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .sources import FiniteDistribution
 
 DIRECT_SUM_MAX_J = 64
 EQUAL_PROB_RTOL = 1e-12
+MC_BLOCK_CELLS = 1 << 20  # trial-symbol cells per streamed block of Monte-Carlo bins
 
 __all__ = [
     "BinningProblem",
@@ -106,27 +113,11 @@ def _pow_q(q: float, exponent: int) -> float:
 
 
 def _success_factor_direct(n_bins: int, j: int, m_heavier: int) -> float:
+    """The direct sum, for classes of at most DIRECT_SUM_MAX_J strings."""
     q = 1.0 - 1.0 / n_bins
-    terms = []
-    if j <= DIRECT_SUM_MAX_J:
-        for l in range(j):
-            terms.append(
-                math.comb(j - 1, l) / (n_bins ** l * (1 + l)) * _pow_q(q, m_heavier + j - l - 1)
-            )
-        return math.fsum(terms)
-    if q == 0.0:
-        return (1.0 / j) if m_heavier == 0 else 0.0
-    # large classes: same sum, each term through logs to dodge huge integers
-    log_q = math.log(q)
-    log_n = math.log(n_bins)
-    for l in range(j):
-        log_term = (
-            math.lgamma(j) - math.lgamma(l + 1) - math.lgamma(j - l)
-            - l * log_n - math.log1p(l)
-            + (m_heavier + j - l - 1) * log_q
-        )
-        terms.append(math.exp(log_term) if log_term > -745.0 else 0.0)
-    return math.fsum(terms)
+    return math.fsum(
+        math.comb(j - 1, l) / (n_bins ** l * (1 + l)) * _pow_q(q, m_heavier + j - l - 1) for l in range(j)
+    )
 
 
 def _success_factor_closed(n_bins: int, j: int, m_heavier: int) -> float:
@@ -156,6 +147,16 @@ def binning_error_mc(problem: BinningProblem, trials: int, seed: int) -> tuple[f
     Each trial draws a fresh uniform bin for every string and one source
     realization, then decodes by maximum likelihood within the realized bin
     with uniform tie-breaking.  Deterministic for a fixed seed.
+
+    Stream order: PCG64(seed) yields every bin, row-major by trial x symbol,
+    then the trials' realizations, then their tie picks.  The bins are
+    streamed in blocks of MC_BLOCK_CELLS // |support| trials (at least one):
+    one generator draws and drops them to reach the realizations, a second
+    one from the same seed replays them block by block.  NumPy's bounded
+    integer draws keep their only state (the 32-bit half-word buffer
+    included) in the bit generator, so k draws of r rows equal one draw of
+    k*r rows and the block size never changes the estimate.  Memory is
+    O(MC_BLOCK_CELLS + 16 bytes x trials).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -164,43 +165,50 @@ def binning_error_mc(problem: BinningProblem, trials: int, seed: int) -> tuple[f
         raise DistributionError("Monte-Carlo binning needs an explicit finite distribution")
     m = len(dist)
     probs = dist.prob_array()
-    # class structure: heavier[s] / peers[s] index sets per symbol
-    order = sorted(range(m), key=lambda i: -probs[i])
-    classes = mass_profile(dist)
-    class_of = {}
+    # columns in decreasing probability: each class is a contiguous column
+    # range, and the strictly heavier strings are the prefix before it
+    order = np.array(sorted(range(m), key=lambda i: -probs[i]))
+    class_start = np.empty(m, dtype=np.int64)  # per symbol, its class's first column
+    tie_classes = []  # column ranges of the classes with peers
     pos = 0
-    for ci, cls in enumerate(classes):
-        for i in order[pos : pos + cls.equal_count]:
-            class_of[i] = ci
+    for cls in mass_profile(dist):
+        class_start[order[pos : pos + cls.equal_count]] = pos
+        if cls.equal_count > 1:
+            tie_classes.append((pos, pos + cls.equal_count))
         pos += cls.equal_count
+    rows = max(1, MC_BLOCK_CELLS // m)
+    blocks = range(0, trials, rows)
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    bins = rng.integers(0, problem.n_bins, size=(trials, m))
-    realization = rng.choice(m, size=trials, p=probs)
-    tie_pick = rng.random(trials)
+    draw = np.random.Generator(np.random.PCG64(seed))
+    for a in blocks:
+        draw.integers(0, problem.n_bins, size=(min(rows, trials - a), m))
+    realization = draw.choice(m, size=trials, p=probs)
+    tie_pick = draw.random(trials)
 
-    errors = np.zeros(trials, dtype=bool)
-    own_bin = bins[np.arange(trials), realization]
-    for s in range(m):
-        mask = realization == s
-        if not np.any(mask):
-            continue
-        ci = class_of[s]
-        heavier_idx = [i for i in range(m) if class_of[i] < ci]
-        peer_idx = [i for i in range(m) if class_of[i] == ci and i != s]
-        sub_bins = bins[mask]
-        b0 = own_bin[mask]
-        if heavier_idx:
-            heavier_hit = (sub_bins[:, heavier_idx] == b0[:, None]).any(axis=1)
-        else:
-            heavier_hit = np.zeros(mask.sum(), dtype=bool)
-        if peer_idx:
-            ties = (sub_bins[:, peer_idx] == b0[:, None]).sum(axis=1)
-        else:
-            ties = np.zeros(mask.sum(), dtype=np.int64)
-        # uniform pick among the 1 + ties in-bin argmax candidates
-        lose_tie = tie_pick[mask] >= 1.0 / (1.0 + ties)
-        errors[mask] = heavier_hit | lose_tie
-    estimate = float(errors.mean())
+    replay = np.random.Generator(np.random.PCG64(seed))
+    n_err = 0
+    for a in blocks:
+        b = min(a + rows, trials)
+        # drawn in the call, so no block outlives its scoring
+        n_err += _block_errors(replay.integers(0, problem.n_bins, size=(b - a, m)),
+                               realization[a:b], tie_pick[a:b], order, class_start, tie_classes)
+    estimate = n_err / trials
     stderr = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)
     return estimate, stderr
+
+
+def _block_errors(bins, real, tie_pick, order, class_start, tie_classes) -> int:
+    """Decoding errors in one block of trials: ``bins`` holds a row of
+    per-symbol bins for each trial, ``real`` the realized symbols."""
+    r = len(bins)
+    hits = (bins == bins[np.arange(r), real][:, None])[:, order]
+    own_start = class_start[real]
+    # the first column sharing the own bin lies in a heavier class
+    error = hits.argmax(axis=1) < own_start
+    ties = np.zeros(r, dtype=np.int64)
+    for lo, hi in tie_classes:
+        mine = np.flatnonzero(own_start == lo)
+        ties[mine] = hits[mine, lo:hi].sum(axis=1) - 1
+    # uniform pick among the 1 + ties in-bin argmax candidates
+    error |= tie_pick >= 1.0 / (1.0 + ties)
+    return int(np.count_nonzero(error))

@@ -88,30 +88,31 @@ def _write_output(args, headers: Sequence[str], rows: list[tuple], meta_extra: d
     meta.update(meta_extra)
     if args.format == "json":
         payload = {"columns": list(headers), "rows": [[_cell(v) for v in row] for row in rows], "meta": meta}
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        lines = [json.dumps(payload, sort_keys=True, indent=2) + "\n"]
     else:
-        text = "\n".join(_csv_lines(headers, rows)) + "\n"
+        lines = _csv_lines(headers, rows)  # streamed: the table is never one string
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
         with open(f"{args.output}.meta.json", "w", encoding="utf-8") as fh:
             json.dump(meta, fh, sort_keys=True, indent=2)
             fh.write("\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _csv_lines(headers: Sequence[str], rows: list[tuple]) -> Iterator[str]:
-    """CSV lines; a cell that is the very object above it reuses that text
-    (identity, not equality: 1 == 1.0 and 0.0 == -0.0 print apart)."""
-    yield ",".join(headers)
+    """Newline-terminated CSV lines; a cell that is the very object above it
+    reuses that text (identity, not equality: 1 == 1.0 and 0.0 == -0.0 print
+    apart)."""
+    yield ",".join(headers) + "\n"
     above, texts = (), []
     for row in rows:
         if len(row) == len(above):
             texts = [text if value is prev else _fmt(value) for value, prev, text in zip(row, above, texts)]
         else:
             texts = [_fmt(value) for value in row]
-        yield ",".join(texts)
+        yield ",".join(texts) + "\n"
         above = row
 
 

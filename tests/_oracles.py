@@ -231,3 +231,72 @@ def broadcast_markov_step(u, cum_rows, info_rows, states, acc):
     nxt = np.sum(u[:, None] >= rows, axis=1)
     acc += info_rows[states, nxt]
     states[:] = nxt
+
+
+def log_space_success_factor(n_bins, j, m_heavier):
+    """Direct binning success sum with each term taken through logs, so that
+    classes far beyond the direct-sum limit need no huge integers."""
+    q = 1.0 - 1.0 / n_bins
+    if q == 0.0:
+        return (1.0 / j) if m_heavier == 0 else 0.0
+    log_q = math.log(q)
+    log_n = math.log(n_bins)
+    terms = []
+    for l in range(j):
+        log_term = (
+            math.lgamma(j) - math.lgamma(l + 1) - math.lgamma(j - l)
+            - l * log_n - math.log1p(l)
+            + (m_heavier + j - l - 1) * log_q
+        )
+        terms.append(math.exp(log_term) if log_term > -745.0 else 0.0)
+    return math.fsum(terms)
+
+
+def inmemory_binning_error_mc(problem, trials, seed):
+    """Monte-Carlo binning error from one trials x |support| bin array.
+
+    The reference for the streamed ``binning_error_mc``: the same PCG64
+    stream (all bins, then realizations, then tie picks), scored symbol by
+    symbol against explicit heavier and peer index sets.
+    """
+    dist = problem.dist
+    m = len(dist)
+    probs = dist.prob_array()
+    order = sorted(range(m), key=lambda i: -probs[i])
+    # equality classes: a string joins while within 1e-12 of its class's first
+    class_of = {}
+    ci, group_p = 0, probs[order[0]]
+    for i in order:
+        if abs(probs[i] - group_p) > 1e-12 * group_p:
+            ci, group_p = ci + 1, probs[i]
+        class_of[i] = ci
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    bins = rng.integers(0, problem.n_bins, size=(trials, m))
+    realization = rng.choice(m, size=trials, p=probs)
+    tie_pick = rng.random(trials)
+
+    errors = np.zeros(trials, dtype=bool)
+    own_bin = bins[np.arange(trials), realization]
+    for s in range(m):
+        mask = realization == s
+        if not np.any(mask):
+            continue
+        ci = class_of[s]
+        heavier_idx = [i for i in range(m) if class_of[i] < ci]
+        peer_idx = [i for i in range(m) if class_of[i] == ci and i != s]
+        sub_bins = bins[mask]
+        b0 = own_bin[mask]
+        if heavier_idx:
+            heavier_hit = (sub_bins[:, heavier_idx] == b0[:, None]).any(axis=1)
+        else:
+            heavier_hit = np.zeros(mask.sum(), dtype=bool)
+        if peer_idx:
+            ties = (sub_bins[:, peer_idx] == b0[:, None]).sum(axis=1)
+        else:
+            ties = np.zeros(mask.sum(), dtype=np.int64)
+        lose_tie = tie_pick[mask] >= 1.0 / (1.0 + ties)
+        errors[mask] = heavier_hit | lose_tie
+    estimate = float(errors.mean())
+    stderr = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)
+    return estimate, stderr

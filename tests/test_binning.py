@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from complimits import binning
 from complimits.errors import DistributionError
-from complimits.sources import FiniteDistribution, bernoulli, uniform_distribution
+from complimits.sources import FiniteDistribution, bernoulli, geometric_distribution, uniform_distribution
 from complimits.spectrum import iid_spectrum
 from complimits.binning import (
     BinningProblem,
@@ -13,7 +16,7 @@ from complimits.binning import (
     _success_factor_direct,
 )
 
-from _oracles import exhaustive_binning_error
+from _oracles import exhaustive_binning_error, inmemory_binning_error_mc, log_space_success_factor
 
 
 class TestMassProfile:
@@ -95,8 +98,8 @@ class TestExactFormula:
                     assert closed == pytest.approx(direct, rel=1e-12)
 
     def test_closed_form_large_class(self):
-        # the direct sum stays tractable at J = 10^4 and must agree
-        direct = _success_factor_direct(3, 10_000, 7)
+        # the direct sum, taken through logs, stays tractable at J = 10^4 and must agree
+        direct = log_space_success_factor(3, 10_000, 7)
         closed = _success_factor_closed(3, 10_000, 7)
         assert closed == pytest.approx(direct, rel=1e-12)
 
@@ -127,3 +130,57 @@ class TestMonteCarlo:
         s = iid_spectrum(bernoulli(0.3), 2)
         with pytest.raises(DistributionError):
             binning_error_mc(BinningProblem(s, 2), 100, seed=0)
+
+
+# laws with equal-probability classes, listed in and out of probability order,
+# and the 78-symbol geometric law of the monte_carlo benchmark, which has none
+TIE_LAWS = [
+    uniform_distribution(4),
+    FiniteDistribution.from_probs((0.4, 0.2, 0.2, 0.1, 0.1)),
+    FiniteDistribution.from_probs((0.5, 0.125, 0.125, 0.125, 0.125)),
+    FiniteDistribution.from_probs((0.1, 0.3, 0.3, 0.2, 0.1)),
+    geometric_distribution(0.3).truncate(),
+]
+
+
+def _assert_matches_inmemory(dist, trials_list, bins_list=(1, 2, 3, 5, 7, 16), seeds=(0, 1, 2)):
+    for n_bins in bins_list:
+        problem = BinningProblem(dist, n_bins)
+        for trials in trials_list:
+            for seed in seeds:
+                expected = inmemory_binning_error_mc(problem, trials, seed)
+                assert binning_error_mc(problem, trials, seed) == expected, (n_bins, trials, seed)
+
+
+class TestMonteCarloStreaming:
+    """The streamed estimate equals the one-array estimate bit for bit, at
+    any block size, and its memory does not grow with trials x |support|."""
+
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    @pytest.mark.parametrize("law", range(len(TIE_LAWS)))
+    def test_any_block_size_matches_inmemory(self, monkeypatch, law, block_rows):
+        dist = TIE_LAWS[law]
+        monkeypatch.setattr(binning, "MC_BLOCK_CELLS", block_rows * len(dist))
+        r = block_rows
+        # one row short of, exactly at and one past a block edge, then several blocks and a part
+        _assert_matches_inmemory(dist, sorted({1, r - 1, r, r + 1, 5 * r + 3} - {0}))
+
+    @pytest.mark.parametrize("law", range(len(TIE_LAWS)))
+    def test_shipped_block_size_matches_inmemory(self, law):
+        dist = TIE_LAWS[law]
+        r = max(1, binning.MC_BLOCK_CELLS // len(dist))
+        _assert_matches_inmemory(dist, [1, 20_001])
+        # each edge case draws about MC_BLOCK_CELLS bins twice, so fewer of them
+        _assert_matches_inmemory(dist, [r - 1, r, r + 1], bins_list=(2, 7), seeds=(0,))
+
+    def test_traced_peak_memory_bounded(self):
+        # 40,000 x 400 bins would be 128 MB as one int64 array
+        weights = 1.0 + np.arange(400) // 4
+        problem = BinningProblem(FiniteDistribution.from_probs(weights / weights.sum()), 3)
+        tracemalloc.start()
+        try:
+            binning_error_mc(problem, 40_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20

@@ -157,6 +157,19 @@ class TestSubcommands:
         _write_output(args, ["x"], [(1,), (1.0,), (0.0,), (-0.0,)], {})
         assert capsys.readouterr().out == "x\n1\n1.0\n0.0\n-0.0\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["limits", "--source", B11_SRC, "--n-min", "2", "--n-max", "12", "--eps", "0.1"],
+        ["spectrum", "--source", B11_SRC, "--n", "6"],
+    ])
+    def test_file_and_stdout_bytes_agree(self, capsys, tmp_path, argv, fmt):
+        path = tmp_path / "out"
+        assert run_cli([*argv, "--format", fmt, "-o", str(path)]) == 0
+        assert run_cli([*argv, "--format", fmt]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert path.read_bytes() == out
+        assert out.endswith(b"\n") and not out.endswith(b"\n\n")
+
     def test_bounds_rows(self, capsys):
         run_cli(["bounds", "--source", B11_SRC, "--n-min", "30", "--n-max", "32", "--eps", "0.1"])
         lines = capsys.readouterr().out.strip().split("\n")
