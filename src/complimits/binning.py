@@ -8,10 +8,10 @@ probability p, J-1 equal-probability peers and M strictly heavier peers is
 
     sum_{l=0}^{J-1} C(J-1, l) / (N^l (1+l)) * (1 - 1/N)^(M + J - l - 1),
 
-which this module evaluates both as the direct sum (small J) and through the
-closed form  (N/J) q^M (1 - q^J)  with q = 1 - 1/N (large J); the two paths
-cross-check each other.  N = 1 is legitimate: the decoder simply guesses the
-global argmax.
+which this module evaluates through its closed form  (N/J) q^M (1 - q^J)
+with q = 1 - 1/N, taking q^M = exp(M log1p(-1/N)) and 1 - q^J =
+-expm1(J log1p(-1/N)) so that nothing cancels at large N.  N = 1 is
+legitimate: the decoder simply guesses the global argmax.
 
 The Monte-Carlo cross-check reads one PCG64 stream per seed in a fixed
 order: the bins row-major by trial x symbol, then the realizations, then
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Union
 
 import numpy as np
@@ -32,7 +33,6 @@ from .errors import DistributionError
 from .spectrum import InformationSpectrum
 from .sources import FiniteDistribution
 
-DIRECT_SUM_MAX_J = 64
 EQUAL_PROB_RTOL = 1e-12
 MC_BLOCK_CELLS = 1 << 20  # trial-symbol cells per streamed block of Monte-Carlo bins
 
@@ -100,44 +100,30 @@ def mass_profile(dist: Union[FiniteDistribution, InformationSpectrum]) -> list[M
     return classes
 
 
-def _pow_q(q: float, exponent: int) -> float:
-    """q^exponent for huge integer exponents, 0^0 = 1."""
-    if exponent == 0:
-        return 1.0
-    if q == 0.0:
-        return 0.0
-    log_term = exponent * math.log(q)
-    if log_term < -745.0:
-        return 0.0
-    return math.exp(log_term)
+def _log_q_power(count: int, log_q: float) -> float:
+    """log q^count; -inf once count leaves double range, where q^count is 0
+    for every bin count below 2^960."""
+    try:
+        return count * log_q
+    except OverflowError:
+        return -math.inf
 
 
-def _success_factor_direct(n_bins: int, j: int, m_heavier: int) -> float:
-    """The direct sum, for classes of at most DIRECT_SUM_MAX_J strings."""
-    q = 1.0 - 1.0 / n_bins
-    return math.fsum(
-        math.comb(j - 1, l) / (n_bins ** l * (1 + l)) * _pow_q(q, m_heavier + j - l - 1) for l in range(j)
-    )
-
-
-def _success_factor_closed(n_bins: int, j: int, m_heavier: int) -> float:
-    q = 1.0 - 1.0 / n_bins
-    if q == 0.0:  # single bin: survive only with no heavier peer, then 1/J tie pick
+def _success_factor(n_bins: int, j: int, m_heavier: int) -> float:
+    """(N/J) q^M (1 - q^J) with q = 1 - 1/N, through log1p and expm1."""
+    if n_bins == 1:  # single bin: survive only with no heavier peer, then 1/J tie pick
         return (1.0 / j) if m_heavier == 0 else 0.0
-    return (n_bins / j) * _pow_q(q, m_heavier) * (1.0 - _pow_q(q, j))
+    log_q = math.log1p(-1.0 / n_bins)
+    return (n_bins / j) * math.exp(_log_q_power(m_heavier, log_q)) * -math.expm1(_log_q_power(j, log_q))
 
 
 def binning_error_exact(problem: BinningProblem) -> float:
     """Expected error probability averaged over all uniform bin assignments."""
     total_success = []
     for cls in mass_profile(problem.dist):
-        j, m_h = cls.equal_count, cls.heavier_count
-        if j <= DIRECT_SUM_MAX_J:
-            factor = _success_factor_direct(problem.n_bins, j, m_h)
-        else:
-            factor = _success_factor_closed(problem.n_bins, j, m_h)
-        class_prob = j * cls.per_string_prob
-        total_success.append(class_prob * factor)
+        # J p exactly rounded, also for class sizes beyond double range
+        class_prob = float(Fraction(cls.per_string_prob) * cls.equal_count)
+        total_success.append(class_prob * _success_factor(problem.n_bins, cls.equal_count, cls.heavier_count))
     return 1.0 - math.fsum(total_success)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,7 +51,6 @@ __all__ = [
     "gaussian_Q_inv",
     "gaussian_phi",
     "gaussian_Phi",
-    "gaussian_Phi_inv",
     "R_upper_quantile",
     "converse_optimized",
     "codelength_vs_info_check",
@@ -86,53 +86,15 @@ def gaussian_Q(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-_PHI_INV_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-             1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-_PHI_INV_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-             6.680131188771972e01, -1.328068155288572e01)
-_PHI_INV_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-             -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-_PHI_INV_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-             3.754408661907416e00)
-
-
-def gaussian_Phi_inv(p: float) -> float:
-    """Inverse normal CDF: rational initial guess plus Newton refinement.
-
-    The rational approximation is accurate to about 1e-9; two Newton steps
-    against the erfc-based CDF push the error well below 1e-13.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    a, b, c, d = _PHI_INV_A, _PHI_INV_B, _PHI_INV_C, _PHI_INV_D
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    for _ in range(2):
-        density = gaussian_phi(x)
-        if density <= 0.0:
-            break
-        x -= (gaussian_Phi(x) - p) / density
-    return x
+_STD_NORMAL = NormalDist()
 
 
 def gaussian_Q_inv(p: float) -> float:
-    """Inverse of the tail function: Q(Q_inv(p)) = p."""
-    return -gaussian_Phi_inv(p)
+    """Inverse of the tail function, Q(Q_inv(p)) = p, by the standard library's
+    ``NormalDist.inv_cdf`` (Wichura's AS 241); p outside (0, 1) raises ValueError."""
+    if not 0.0 < p < 1.0:  # also NaN, which inv_cdf would pass through
+        raise ValueError("quantile argument must lie strictly inside (0, 1)")
+    return -_STD_NORMAL.inv_cdf(p)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +276,7 @@ def achievability_iid(params: GaussianParams, n: int, eps: float) -> BoundReport
     if params.mu3 == 0.0:
         correction = 0.0
     else:
-        correction = params.mu3 / (params.sigma2 * gaussian_phi(gaussian_Phi_inv(inner))) / n
+        correction = params.mu3 / (params.sigma2 * gaussian_phi(_STD_NORMAL.inv_cdf(inner))) / n
     return BoundReport(base + log_term + correction, "achievability", True, condition)
 
 

@@ -124,8 +124,8 @@ def _cell(value):
     return str(value)
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low, else a configuration error (exit 2)."""
+def _int_at_least(low: int, high: int | None = None):
+    """argparse type: an integer >= low (<= high if given), else a configuration error (exit 2)."""
 
     def parse(raw: str) -> int:
         try:
@@ -134,6 +134,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
@@ -368,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("binning", help="random binning error")
     common(p)
-    p.add_argument("--bins", type=_int_at_least(1), nargs="+", required=True)
+    # 2^63 is the largest exclusive high that NumPy's int64 bin draws take
+    p.add_argument("--bins", type=_int_at_least(1, 2**63), nargs="+", required=True)
     p.add_argument("--trials", type=_int_at_least(1), default=100_000)
     p.set_defaults(func=_cmd_binning)
 

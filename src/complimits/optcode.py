@@ -164,8 +164,7 @@ def Rbar(spec: InformationSpectrum) -> float:
     of epsilon_star(k) over k >= 1, divided by n.
     """
     spec.require_exact("Rbar")
-    dist = length_distribution(spec)
-    return math.fsum(l * p for l, p in zip(dist.lengths, dist.probs)) / spec.n
+    return length_distribution(spec).mean() / spec.n
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ independent routes to the same quantity.
 import heapq
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -231,6 +232,14 @@ def broadcast_markov_step(u, cum_rows, info_rows, states, acc):
     nxt = np.sum(u[:, None] >= rows, axis=1)
     acc += info_rows[states, nxt]
     states[:] = nxt
+
+
+def exact_success_factor(n_bins, j, m_heavier):
+    """Binning success factor of one class as an exact Fraction: the direct
+    sum over l peers sharing the bin, C(J-1, l) / (N^l (1+l)) q^(M+J-l-1),
+    with q = 1 - 1/N."""
+    q = 1 - Fraction(1, n_bins)
+    return sum(Fraction(math.comb(j - 1, l), n_bins ** l * (1 + l)) * q ** (m_heavier + j - l - 1) for l in range(j))
 
 
 def log_space_success_factor(n_bins, j, m_heavier):

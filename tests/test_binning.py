@@ -12,11 +12,15 @@ from complimits.binning import (
     binning_error_exact,
     binning_error_mc,
     mass_profile,
-    _success_factor_closed,
-    _success_factor_direct,
+    _success_factor,
 )
 
-from _oracles import exhaustive_binning_error, inmemory_binning_error_mc, log_space_success_factor
+from _oracles import (
+    exact_success_factor,
+    exhaustive_binning_error,
+    inmemory_binning_error_mc,
+    log_space_success_factor,
+)
 
 
 class TestMassProfile:
@@ -90,18 +94,25 @@ class TestExactFormula:
             assert err < 0.05
 
     def test_closed_form_matches_direct_sum(self):
-        for n_bins in (2, 3, 17):
+        # against the exact Fraction direct sum, including bin counts where
+        # 1 - q^J would cancel if q^J were formed first
+        for n_bins in (1, 2, 3, 17, 10**6, 2**40):
             for m_heavier in (0, 5, 1000):
-                for j in (1, 2, 10, 40, 64):
-                    direct = _success_factor_direct(n_bins, j, m_heavier)
-                    closed = _success_factor_closed(n_bins, j, m_heavier)
-                    assert closed == pytest.approx(direct, rel=1e-12)
+                for j in (1, 2, 10, 40, 64, 100):
+                    exact = float(exact_success_factor(n_bins, j, m_heavier))
+                    assert _success_factor(n_bins, j, m_heavier) == pytest.approx(exact, rel=1e-12)
 
     def test_closed_form_large_class(self):
         # the direct sum, taken through logs, stays tractable at J = 10^4 and must agree
         direct = log_space_success_factor(3, 10_000, 7)
-        closed = _success_factor_closed(3, 10_000, 7)
+        closed = _success_factor(3, 10_000, 7)
         assert closed == pytest.approx(direct, rel=1e-12)
+
+    def test_counts_beyond_double_range(self):
+        # at n = 1100 class sizes and heavier counts pass 2^1024; the success
+        # probability is of order 0.89^n, so the error rounds to 1
+        for n in (1000, 1100):
+            assert binning_error_exact(BinningProblem(iid_spectrum(bernoulli(0.11), n), 2)) == 1.0
 
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):

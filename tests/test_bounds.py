@@ -59,8 +59,26 @@ class TestGaussian:
         for x in (-5.0, -1.3, 0.0, 0.7, 2.4, 6.0):
             assert gaussian_Q_inv(gaussian_Q(x)) == pytest.approx(x, abs=1e-10)
 
+    # Q^-1(p) = sqrt(2) erfinv(1 - 2p) from mpmath 1.3.0 at mp.dps = 400, with
+    # p the exact double shown; each value satisfies erfc(x/sqrt(2))/2 = p to
+    # better than 1e-100 relative.  Printed to 25 digits.
+    @pytest.mark.parametrize(
+        "p, want",
+        [
+            (0.9999999999999254, -7.387857102112984271193459),
+            (1e-300, 37.04709629936119923654704),
+            (1e-20, 9.262340089798407579572095),
+            (0.001, 3.090232306167813535358005),
+            (0.1, 1.281551565544600435334517),
+            (0.5, 0.0),
+            (0.975, -1.959963984540053855604431),
+        ],
+    )
+    def test_Q_inv_high_precision(self, p, want):
+        assert gaussian_Q_inv(p) == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_domain_errors(self):
-        for p in (0.0, 1.0, -0.1, 1.1):
+        for p in (0.0, 1.0, -0.1, 1.1, math.nan):
             with pytest.raises(ValueError):
                 gaussian_Q_inv(p)
 

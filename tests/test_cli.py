@@ -11,6 +11,8 @@ from complimits.optcode import R_star, Rbar, epsilon_star, prefix_R, prefix_epsi
 from complimits.sources import bernoulli
 from complimits.spectrum import iid_spectrum
 
+from _oracles import exact_success_factor
+
 B11_SRC = '{"type": "memoryless", "probs": [0.89, 0.11]}'
 CHAIN_SRC = '{"type": "markov", "kernel": [[0.9, 0.1], [0.2, 0.8]]}'
 
@@ -60,6 +62,8 @@ class TestExitCodes:
             ["figure3", "--n-min", "10", "--n-max", "11", "--eps", "1.5"],
             ["bounds", "--source", B11_SRC, "--n-min", "10", "--n-max", "11", "--eps", "0"],
             ["bounds", "--source", B11_SRC, "--n-min", "10", "--n-max", "11", "--eps", "0.5"],
+            ["binning", "--source", B11_SRC, "--bins", "1" + "0" * 400, "--trials", "1"],
+            ["binning", "--source", B11_SRC, "--bins", "10000000000000000000", "--trials", "1"],
         ],
         ids=[
             "n_min_zero",
@@ -76,6 +80,8 @@ class TestExitCodes:
             "figure3_eps_above_one",
             "bounds_eps_zero",
             "bounds_eps_half",
+            "bins_beyond_float",
+            "bins_beyond_int64",
         ],
     )
     def test_invalid_option_is_config_error(self, capsys, argv):
@@ -83,6 +89,9 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigurationError"
         assert err["exit_code"] == 2
+
+    def test_largest_bin_count_accepted(self, capsys):
+        assert run_cli(["binning", "--source", B11_SRC, "--bins", str(2**63), "--trials", "1"]) == 0
 
     def test_success(self, capsys):
         assert run_cli(["spectrum", "--source", B11_SRC, "--n", "2"]) == 0
@@ -123,6 +132,17 @@ class TestDeterminism:
 
 
 class TestSubcommands:
+    def test_binning_exact_at_many_bins(self, capsys):
+        # 100 equiprobable strings form one class of mass 1, so the exact
+        # error is 1 - the class's success factor
+        src = json.dumps({"type": "memoryless", "probs": [0.01] * 100})
+        bins = (10**6, 2**40)
+        assert run_cli(["binning", "--source", src, "--bins", *map(str, bins), "--trials", "1"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        for n_bins, row in zip(bins, rows):
+            exact = float(1 - exact_success_factor(n_bins, 100, 0))
+            assert float(row[1]) == pytest.approx(exact, rel=1e-9)
+
     def test_limits_columns(self, capsys):
         run_cli(["limits", "--source", B11_SRC, "--n-min", "2", "--n-max", "3", "--eps", "0.1", "0.2"])
         lines = capsys.readouterr().out.strip().split("\n")
