@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import operator
 import sys
+from itertools import compress
 from typing import Iterator, Sequence
 
 from . import __version__
@@ -31,7 +33,7 @@ from .errors import (
     StructuralError,
     UnsupportedSpectrumError,
 )
-from .optcode import R_star, Rbar, epsilon_curve, length_distribution, prefix_epsilon_curve, rate_on_curve
+from .optcode import R_star, length_distribution, prefix_epsilon_curve, rate_on_curve
 from .sources import (
     CountableDistribution,
     MarkovSource,
@@ -102,16 +104,20 @@ def _write_output(args, headers: Sequence[str], rows: list[tuple], meta_extra: d
 
 
 def _csv_lines(headers: Sequence[str], rows: list[tuple]) -> Iterator[str]:
-    """Newline-terminated CSV lines; a cell that is the very object above it
+    """Newline-terminated CSV lines.  Only cells that are not the very object
+    above them are formatted, and a cell that is the very object to its left
     reuses that text (identity, not equality: 1 == 1.0 and 0.0 == -0.0 print
     apart)."""
     yield ",".join(headers) + "\n"
     above, texts = (), []
     for row in rows:
         if len(row) == len(above):
-            texts = [text if value is prev else _fmt(value) for value, prev, text in zip(row, above, texts)]
+            fresh = compress(range(len(row)), map(operator.is_not, row, above))
         else:
-            texts = [_fmt(value) for value in row]
+            fresh, texts = range(len(row)), [""] * len(row)
+        for i in fresh:
+            value = row[i]
+            texts[i] = texts[i - 1] if i and value is row[i - 1] else _fmt(value)
         yield ",".join(texts) + "\n"
         above = row
 
@@ -196,9 +202,10 @@ def _cmd_limits(args) -> None:
         except BudgetExceededError as exc:
             marker = {"truncated_at_n": n, "budget_note": str(exc)}
             break
-        curve = epsilon_curve(spec)
+        lengths = length_distribution(spec)
+        curve = lengths.tail
         prefix = prefix_epsilon_curve(spec, curve)
-        per_n = (Rbar(spec), *[rate_on_curve(curve, n, e) for e in eps_list],
+        per_n = (lengths.mean() / n, *[rate_on_curve(curve, n, e) for e in eps_list],
                  *[rate_on_curve(prefix, n, e) for e in eps_list])
         rows += [(n, k, eps_k, prefix[k + 1], *per_n) for k, eps_k in enumerate(curve)]
     if not rows:

@@ -3,23 +3,22 @@
 For well-behaved sources (memoryless, ergodic Markov chains) the dispersion
 equals the varentropy rate, and the exact rank machinery turns that limit
 statement into finite-blocklength diagnostics: traces of Var(len)/n and
-Var(iota)/n, the exact second moment of the codelength-surprisal gap, and
-the normalized-dispersion curves sigma^2/H^2 over source families.
+Var(iota)/n, the exact second moment of the codelength-surprisal gap (both
+read off the one dyadic walk of ``optcode.length_distribution``), and the
+normalized-dispersion curves sigma^2/H^2 over source families.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .bounds import gaussian_Q_inv
 from .budgets import Budgets, default_budgets
 from .errors import BudgetExceededError
-from .optcode import R_star, _dyadic_blocks, length_distribution
+from .optcode import R_star, length_distribution
 from .spectrum import (
     InformationSpectrum,
-    count_times_pstring,
     iid_spectrum,
     markov_spectrum_exact,
     var_info,
@@ -86,10 +85,10 @@ def second_moment_gap(spec: InformationSpectrum) -> float:
 
     Within one spectrum mass the surprisal is constant while the codelength
     steps through dyadic rank blocks, so the expectation splits into
-    (count in block) * per-string-prob * (length - info)^2 terms.
+    (count in block) * per-string-prob * (length - info)^2 terms, summed by
+    the same walk that gives the codelength distribution.
     """
-    spec.require_exact("second_moment_gap")
-    return math.fsum(count_times_pstring(take, info) * (j - info) ** 2 for j, take, info in _dyadic_blocks(spec))
+    return length_distribution(spec).gap2
 
 
 def dispersion_estimate(
@@ -108,10 +107,11 @@ def dispersion_estimate(
         except BudgetExceededError:
             complete = False
             break
+        lengths = length_distribution(spec)
         ns.append(n)
-        v_len.append(var_codelength(spec) / n)
+        v_len.append(lengths.variance() / n)
         v_info.append(var_info(spec) / n)
-        gaps.append(second_moment_gap(spec) / n)
+        gaps.append(lengths.gap2 / n)
     return DispersionTrace(tuple(ns), tuple(v_len), tuple(v_info), tuple(gaps), sigma2, complete)
 
 

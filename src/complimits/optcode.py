@@ -16,6 +16,10 @@ rank arithmetic over an exact information spectrum:
 
 Counts are arbitrary-precision integers throughout; a rank cut that lands
 inside a tie class splits the class mass proportionally to string counts.
+``length_distribution`` walks masses and dyadic rank blocks once per spectrum
+and returns the codelength law, the whole epsilon_star curve (one cut 2^k - 1
+per block) and the gap moment that ``dispersion`` reads; single questions
+(``epsilon_star``, ``R_star``) bisect for their cut with ``rank_cut``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .spectrum import InformationSpectrum, count_times_pstring
 
@@ -85,12 +89,8 @@ def rank_cut(spec: InformationSpectrum, threshold: int) -> RankCut:
     p_string = _string_prob(info_i)
     prob_before = float(spec.cum_probs[i - 1]) if i > 0 else 0.0
     retained = prob_before + count_times_pstring(partial, info_i)
-    return RankCut(threshold, i, before, prob_before, partial, p_string, retained, _excess(spec, i, partial))
-
-
-def _excess(spec: InformationSpectrum, i: int, partial: int) -> float:
-    """Mass ranked after a cut that keeps ``partial`` strings of mass ``i``."""
-    return float(spec.suffix_probs[i + 1]) + count_times_pstring(spec.counts[i] - partial, float(spec.infos[i]))
+    excess = float(spec.suffix_probs[i + 1]) + count_times_pstring(spec.counts[i] - partial, info_i)
+    return RankCut(threshold, i, before, prob_before, partial, p_string, retained, excess)
 
 
 def epsilon_star(spec: InformationSpectrum, k: int) -> float:
@@ -109,20 +109,9 @@ def epsilon_star(spec: InformationSpectrum, k: int) -> float:
 
 
 def epsilon_curve(spec: InformationSpectrum) -> list[float]:
-    """[epsilon_star(spec, k) for k in 0..total_count.bit_length()] in one pass.
-
-    The thresholds 2^k - 1 only grow with k, so one forward pointer over the
-    cumulative counts finds every cut that ``rank_cut`` bisects for.
-    """
-    spec.require_exact("epsilon_curve")
-    total, cum_counts = spec.total_count, spec.cum_counts
-    curve, i = [1.0], 0
-    for k in range(1, total.bit_length()):
-        threshold = (1 << k) - 1
-        while cum_counts[i] < threshold:
-            i += 1
-        curve.append(_excess(spec, i, threshold - (cum_counts[i - 1] if i > 0 else 0)))
-    return curve + [0.0]  # at k = total.bit_length(), 2^k - 1 >= total covers every string
+    """[epsilon_star(spec, k) for k in 0..total_count.bit_length()], read off
+    the one dyadic walk of ``length_distribution``."""
+    return list(length_distribution(spec).tail)
 
 
 def _least_k(eps_at: Callable[[int], float], k_max: int, eps: float) -> int:
@@ -163,17 +152,20 @@ def Rbar(spec: InformationSpectrum) -> float:
     The mean of the exact codelength distribution; it also equals the sum
     of epsilon_star(k) over k >= 1, divided by n.
     """
-    spec.require_exact("Rbar")
     return length_distribution(spec).mean() / spec.n
 
 
 @dataclass(frozen=True)
 class CodelengthDistribution:
-    """Distribution of the optimal codelength: P[len = j] per length j."""
+    """Distribution of the optimal codelength: P[len = j] per length j, the
+    tail P[len >= k] = epsilon_star(k) for k = 0..len(lengths), and the gap
+    moment gap2 = E[(codelength - surprisal)^2]."""
 
     n: int
     lengths: tuple
     probs: tuple
+    tail: tuple
+    gap2: float
 
     def mean(self) -> float:
         return math.fsum(l * p for l, p in zip(self.lengths, self.probs))
@@ -183,33 +175,46 @@ class CodelengthDistribution:
         return math.fsum(p * (l - mu) ** 2 for l, p in zip(self.lengths, self.probs))
 
 
-def _dyadic_blocks(spec: InformationSpectrum) -> Iterator[tuple[int, int, float]]:
-    """Walk masses and dyadic rank blocks together.
+def _dyadic_walk(spec: InformationSpectrum) -> tuple[list, list, list, list]:
+    """Walk masses and dyadic rank blocks together, once.
 
-    Yields (length j, strings taken, surprisal) for each piece of a mass
-    whose ranks fall in [2^j, 2^(j+1)), i.e. receive codelength j; a tie
-    class that straddles a block boundary is split by exact string counts.
+    Returns the pieces as columns (length j, mass, surprisal), one piece per
+    part of a spectrum mass whose ranks fall in [2^j, 2^(j+1)), i.e. receive
+    codelength j; a tie class that straddles a block boundary is split by
+    exact string counts.  Also returns the tail [epsilon_star(k) for k in
+    0..L], L = total_count.bit_length(): the cut 2^k - 1 lands in some mass,
+    and the excess is the mass ranked after it plus the part of it past the
+    cut, as in ``rank_cut``.
     """
-    consumed = 0
-    for count, info in zip(spec.counts, spec.infos.tolist()):
-        span = count
-        while span > 0:
-            j = (consumed + 1).bit_length() - 1
-            take = min((1 << (j + 1)) - 1, consumed + span) - consumed
-            yield j, take, info
-            consumed += take
-            span -= take
+    lengths, takes, infos, tail = [], [], [], [1.0]
+    j, consumed, cut = 0, 0, 1  # cut = 2^(j+1) - 1 closes the block of length j
+    for after, end, info in zip(spec.suffix_probs.tolist()[1:], spec.cum_counts, spec.infos.tolist()):
+        while cut <= end:
+            lengths.append(j)
+            takes.append(cut - consumed)
+            infos.append(info)
+            tail.append(after + count_times_pstring(end - cut, info))
+            j, consumed, cut = j + 1, cut, 2 * cut + 1
+        if consumed < end:
+            lengths.append(j)
+            takes.append(end - consumed)
+            infos.append(info)
+            consumed = end
+    del tail[spec.total_count.bit_length():]  # a total of 2^L - 1 ends on the cut of k = L
+    tail.append(0.0)
+    return lengths, list(map(count_times_pstring, takes, infos)), infos, tail
 
 
 def length_distribution(spec: InformationSpectrum) -> CodelengthDistribution:
-    """Exact codelength distribution P[len = j] = P[rank in [2^j, 2^(j+1))]."""
+    """Exact codelength distribution P[len = j] = P[rank in [2^j, 2^(j+1))],
+    with the epsilon_star tail and the gap moment from the same walk."""
     spec.require_exact("length_distribution")
+    lengths, masses, infos, tail = _dyadic_walk(spec)
     n_lengths = spec.total_count.bit_length()
-    buckets: list[list[float]] = [[] for _ in range(n_lengths)]
-    for j, take, info in _dyadic_blocks(spec):
-        buckets[j].append(count_times_pstring(take, info))
-    probs = [math.fsum(b) for b in buckets]
-    return CodelengthDistribution(spec.n, tuple(range(n_lengths)), tuple(probs))
+    firsts = [bisect_left(lengths, j) for j in range(n_lengths + 1)]  # lengths only grow
+    probs = [math.fsum(masses[a:b]) for a, b in zip(firsts, firsts[1:])]
+    gap2 = math.fsum(m * (j - info) ** 2 for j, m, info in zip(lengths, masses, infos))
+    return CodelengthDistribution(spec.n, tuple(range(n_lengths)), tuple(probs), tuple(tail), gap2)
 
 
 # ---------------------------------------------------------------------------

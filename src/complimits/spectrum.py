@@ -125,7 +125,10 @@ class InformationSpectrum:
         self.sample_size = int(sample_size)
 
         self.cum_probs = _kahan_prefix(probs_arr)
-        self.suffix_probs = np.concatenate([_kahan_prefix(probs_arr[::-1])[::-1], [0.0]])
+        # past the last nonzero probability the compensated sum stays +0.0
+        live = int(np.flatnonzero(probs_arr)[-1]) + 1
+        self.suffix_probs = np.zeros(len(probs_arr) + 1)
+        self.suffix_probs[:live] = _kahan_prefix(probs_arr[:live][::-1])[::-1]
         self.cum_probs.setflags(write=False)
         self.suffix_probs.setflags(write=False)
         self.cum_counts = tuple(itertools.accumulate(counts_t))

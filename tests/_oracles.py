@@ -96,6 +96,60 @@ def brute_second_moment_gap(probs_desc):
     return math.fsum(p * (l + math.log2(p)) ** 2 for p, l in zip(probs_desc, lengths))
 
 
+def _count_times_pstring(count, info):
+    """count * 2^(-info), through log space for counts beyond 53 bits or
+    surprisals beyond 1000 bits (the library's piece-mass formula)."""
+    if count <= 0:
+        return 0.0
+    if count.bit_length() <= 53 and info <= 1000.0:
+        return count * 2.0 ** (-info)
+    lp = math.log2(count) - info
+    return 0.0 if lp < -1080.0 else 2.0 ** lp
+
+
+def dyadic_pieces(counts, infos):
+    """Per-piece walk over sorted spectrum masses: (length j, strings taken,
+    surprisal) for each part of a mass whose ranks fall in [2^j, 2^(j+1))."""
+    consumed = 0
+    for count, info in zip(counts, infos):
+        span = count
+        while span > 0:
+            j = (consumed + 1).bit_length() - 1
+            take = min((1 << (j + 1)) - 1, consumed + span) - consumed
+            yield j, take, info
+            consumed += take
+            span -= take
+
+
+def walk_length_distribution(counts, infos):
+    """(P[len = j] per length j, mean, variance, E[(len - surprisal)^2]),
+    each piece's mass summed by ``math.fsum`` per length and overall."""
+    buckets = [[] for _ in range(sum(counts).bit_length())]
+    gap_terms = []
+    for j, take, info in dyadic_pieces(counts, infos):
+        mass = _count_times_pstring(take, info)
+        buckets[j].append(mass)
+        gap_terms.append(mass * (j - info) ** 2)
+    probs = [math.fsum(b) for b in buckets]
+    mean = math.fsum(l * p for l, p in enumerate(probs))
+    variance = math.fsum(p * (l - mean) ** 2 for l, p in enumerate(probs))
+    return probs, mean, variance, math.fsum(gap_terms)
+
+
+def pointer_epsilon_curve(counts, infos, suffix_probs):
+    """[epsilon_star(k) for k in 0..L], L = total.bit_length(), by a forward
+    pointer to the mass holding each cut 2^k - 1: the mass ranked after that
+    mass plus the part of it past the cut."""
+    cum_counts = list(itertools.accumulate(counts))
+    curve, i = [1.0], 0
+    for k in range(1, cum_counts[-1].bit_length()):
+        threshold = (1 << k) - 1
+        while cum_counts[i] < threshold:
+            i += 1
+        curve.append(suffix_probs[i + 1] + _count_times_pstring(cum_counts[i] - threshold, infos[i]))
+    return curve + [0.0]
+
+
 def brute_prefix_epsilon(probs_desc, alphabet_total, k_threshold):
     """Best prefix-code P[len >= k_threshold], via the explicit construction.
 

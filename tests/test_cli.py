@@ -177,6 +177,21 @@ class TestSubcommands:
         _write_output(args, ["x"], [(1,), (1.0,), (0.0,), (-0.0,)], {})
         assert capsys.readouterr().out == "x\n1\n1.0\n0.0\n-0.0\n"
 
+    def test_csv_writer_reuses_text_only_for_the_same_object(self, capsys):
+        x, y = 0.1 + 0.2, 2.0 / 3.0
+        rows = [
+            (0.0, -0.0, 1, 1.0, True, 1),  # equal neighbours of other types or signs print apart
+            (x, x, x),  # one object in adjacent cells, in a shorter row
+            (x, y, y),  # the same objects above, a new one to the left
+            (y, x, y, 5),  # a longer row
+            (5,),
+        ]
+        args = argparse.Namespace(command="test", format="csv", output=None)
+        _write_output(args, ["a"], rows, {})
+        out = capsys.readouterr().out
+        assert out == "a\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+        assert out.split("\n")[1:3] == ["0.0,-0.0,1,1.0,True,1", ",".join([repr(x)] * 3)]
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("argv", [
         ["limits", "--source", B11_SRC, "--n-min", "2", "--n-max", "12", "--eps", "0.1"],

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from complimits.errors import UnsupportedSpectrumError
 from complimits.sources import (
@@ -36,7 +38,9 @@ from _oracles import (
     brute_var_len,
     enumerate_iid,
     huffman_average,
+    pointer_epsilon_curve,
     sorted_probs,
+    walk_length_distribution,
 )
 
 B11 = bernoulli(0.11)
@@ -169,6 +173,66 @@ class TestEpsilonCurve:
         mc = markov_spectrum_mc(MarkovSource(np.array([[0.9, 0.1], [0.2, 0.8]])), 4, 100, 0)
         with pytest.raises(UnsupportedSpectrumError):
             epsilon_curve(mc)
+
+
+def _assert_matches_walk_references(spec):
+    ld = length_distribution(spec)
+    counts, infos = spec.counts, spec.infos.tolist()
+    probs, mean, variance, gap2 = walk_length_distribution(counts, infos)
+    assert ld.tail == tuple(pointer_epsilon_curve(counts, infos, spec.suffix_probs.tolist()))
+    assert ld.lengths == tuple(range(len(probs)))
+    assert ld.probs == tuple(probs)
+    assert (ld.mean(), ld.variance(), ld.gap2) == (mean, variance, gap2)
+    assert type(ld.gap2) is float
+
+
+class TestOneWalk:
+    """length_distribution's one walk against the per-piece walk and the
+    pointer curve it replaces, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "dist, n",
+        [
+            (uniform_distribution(3), 1),  # total 3 = 2^2 - 1: the last cut ends the last mass
+            (uniform_distribution(7), 1),  # total 7 = 2^3 - 1
+            (uniform_distribution(2), 12),  # one class across every dyadic block
+            (uniform_distribution(1607), 1),  # a gap term where the C pow(x, 2) and x * x round apart
+            (B11, 300),  # counts beyond 2^53
+            (FiniteDistribution.from_probs((0.999, 0.001)), 2000),  # probabilities underflow to 0
+        ],
+    )
+    def test_edge_spectra(self, dist, n):
+        _assert_matches_walk_references(iid_spectrum(dist, n))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        letters=st.lists(
+            st.one_of(st.sampled_from([1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 3]), st.floats(0.01, 0.5)),
+            min_size=1,
+            max_size=3,
+        ),
+        n=st.integers(1, 24),
+    )
+    def test_memoryless_laws(self, letters, n):
+        # the last letter takes the rest, so dyadic draws tie whole classes
+        rest = 1.0 - math.fsum(letters)
+        assume(rest >= 0.01)
+        _assert_matches_walk_references(iid_spectrum(FiniteDistribution.from_probs(letters + [rest]), n))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.one_of(st.just(1.0), st.floats(0.05, 1.0)), min_size=3, max_size=3),
+            min_size=2,
+            max_size=3,
+        ),
+        n=st.integers(1, 12),
+    )
+    def test_markov_spectra(self, rows, n):
+        m = len(rows)
+        kernel = np.array([row[:m] for row in rows])
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        _assert_matches_walk_references(markov_spectrum_exact(MarkovSource(kernel), min(n, {2: 12, 3: 7}[m])))
 
 
 class TestRStar:
