@@ -417,8 +417,9 @@ def markov_be_calibrate(
 def n_star_approx(params: GaussianParams, rate: float, eps: float) -> int:
     """Approximate smallest n at which compressing at ``rate`` succeeds.
 
-    With rate = (1 + eta) H:  n ~ (sigma^2/H^2) (Q^-1(eps)/(1 + eta))^2,
-    rounded up (at least 1).  Only meaningful for rates above the entropy.
+    Solving R_star ~ H + sigma Q^-1(eps)/sqrt(n) at rate = (1 + eta) H gives
+    n ~ (sigma^2/H^2) (Q^-1(eps)/eta)^2, rounded up (at least 1).  Only
+    meaningful for rates above the entropy.
     """
     _require_sigma(params)
     if not 0.0 < eps <= 0.5:
@@ -426,7 +427,7 @@ def n_star_approx(params: GaussianParams, rate: float, eps: float) -> int:
     if rate <= params.H:
         raise ValueError("no finite approximation: rate does not exceed the entropy rate")
     eta = rate / params.H - 1.0
-    value = (params.sigma2 / params.H ** 2) * (gaussian_Q_inv(eps) / (1.0 + eta)) ** 2
+    value = (params.sigma2 / params.H ** 2) * (gaussian_Q_inv(eps) / eta) ** 2
     return max(1, math.ceil(value))
 
 

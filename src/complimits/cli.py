@@ -22,8 +22,7 @@ from typing import Iterator, Sequence
 from . import __version__
 from .binning import BinningProblem, binning_error_exact, binning_error_mc
 from .bounds import GaussianParams, R_upper_quantile, achievability_iid, approx_Rstar, converse_iid
-from .budgets import default_budgets
-from .dispersion import dispersion_estimate, exact_spectrum, normalized_dispersion
+from .dispersion import dispersion_estimate, exact_spectrum, exact_sweep, normalized_dispersion
 from .errors import (
     BudgetExceededError,
     CompLimitsError,
@@ -35,7 +34,6 @@ from .errors import (
 )
 from .optcode import R_star, length_distribution, prefix_epsilon_curve, rate_on_curve
 from .sources import (
-    CountableDistribution,
     MarkovSource,
     as_finite,
     bernoulli,
@@ -188,34 +186,26 @@ def _cmd_spectrum(args) -> None:
 
 
 def _cmd_limits(args) -> None:
-    source = _load_source_arg(args.source)
     eps_list = args.eps
     headers = ["n", "k", "epsilon_star_probability", "prefix_epsilon_kplus1_probability",
                "Rbar_bits_per_symbol"]
     headers += [f"R_star_bits_per_symbol_eps_{e}" for e in eps_list]
     headers += [f"prefix_R_bits_per_symbol_eps_{e}" for e in eps_list]
-    rows = []
-    marker = {}
-    for n in _parse_int_range(args):
-        try:
-            spec = exact_spectrum(source, n)
-        except BudgetExceededError as exc:
-            marker = {"truncated_at_n": n, "budget_note": str(exc)}
-            break
-        lengths = length_distribution(spec)
+
+    def per_spectrum(spec) -> list:
+        n, lengths = spec.n, length_distribution(spec)
         curve = lengths.tail
         prefix = prefix_epsilon_curve(spec, curve)
         per_n = (lengths.mean() / n, *[rate_on_curve(curve, n, e) for e in eps_list],
                  *[rate_on_curve(prefix, n, e) for e in eps_list])
-        rows += [(n, k, eps_k, prefix[k + 1], *per_n) for k, eps_k in enumerate(curve)]
-    if not rows:
-        raise BudgetExceededError(marker.get("budget_note", "no blocklength fits the budget"))
+        return [(n, k, eps_k, prefix[k + 1], *per_n) for k, eps_k in enumerate(curve)]
+
+    rows, marker = exact_sweep(_load_source_arg(args.source), _parse_int_range(args), per_spectrum)
     _write_output(args, headers, rows, marker)
 
 
 def _cmd_bounds(args) -> None:
-    source = _load_source_arg(args.source)
-    dist = as_finite(source)
+    dist = as_finite(_load_source_arg(args.source))
     params = GaussianParams.from_distribution(dist)
     eps = args.eps
     headers = (
@@ -228,30 +218,15 @@ def _cmd_bounds(args) -> None:
         "achievability_valid",
         "converse_valid",
     )
-    rows = []
-    marker = {}
-    for n in _parse_int_range(args):
-        try:
-            spec = iid_spectrum(dist, n, default_budgets())
-        except BudgetExceededError as exc:
-            marker = {"truncated_at_n": n, "budget_note": str(exc)}
-            break
+
+    def per_spectrum(spec) -> list:
+        n = spec.n
         ach = achievability_iid(params, n, eps)
         conv = converse_iid(params, n, eps)
-        rows.append(
-            (
-                n,
-                R_star(spec, eps),
-                approx_Rstar(params, n, eps),
-                ach.value,
-                conv.value,
-                R_upper_quantile(spec, eps).value,
-                int(ach.valid),
-                int(conv.valid),
-            )
-        )
-    if not rows:
-        raise BudgetExceededError(marker.get("budget_note", "no blocklength fits the budget"))
+        return [(n, R_star(spec, eps), approx_Rstar(params, n, eps), ach.value, conv.value,
+                 R_upper_quantile(spec, eps).value, int(ach.valid), int(conv.valid))]
+
+    rows, marker = exact_sweep(dist, _parse_int_range(args), per_spectrum)
     _write_output(args, headers, rows, {"eps": eps, **marker})
 
 
@@ -269,10 +244,7 @@ def _cmd_binning(args) -> None:
 
 
 def _cmd_dispersion(args) -> None:
-    source = _load_source_arg(args.source)
-    if isinstance(source, CountableDistribution):
-        source = source.truncate()
-    trace = dispersion_estimate(source, list(_parse_int_range(args)))
+    trace = dispersion_estimate(_load_source_arg(args.source), _parse_int_range(args))
     headers = ("n", "var_len_over_n_bits2", "var_info_over_n_bits2", "gap2_bits2", "sigma2_ref_bits2")
     rows = [
         (n, vl, vi, g, trace.sigma2_ref)
@@ -283,7 +255,7 @@ def _cmd_dispersion(args) -> None:
 
 def _cmd_figure1(args) -> None:
     dist = binomial_distribution(10_000, 0.5)
-    spec = iid_spectrum(dist, 1, default_budgets())
+    spec = iid_spectrum(dist, 1)
     lengths = length_distribution(spec)
     headers = ("series", "x_bits", "cdf_probability")
     rows = []
@@ -309,18 +281,13 @@ def _cmd_rate_sweep(args) -> None:
         "approx_bits_per_symbol",
         "upper_quantile_bits_per_symbol",
     )
-    rows = []
-    for n in _parse_int_range(args):
-        spec = iid_spectrum(dist, n, default_budgets())
-        rows.append(
-            (
-                n,
-                R_star(spec, args.eps),
-                approx_Rstar(params, n, args.eps),
-                R_upper_quantile(spec, args.eps).value,
-            )
-        )
-    _write_output(args, headers, rows, {"eps": args.eps, "bias": args.bias})
+
+    def per_spectrum(spec) -> list:
+        n, eps = spec.n, args.eps
+        return [(n, R_star(spec, eps), approx_Rstar(params, n, eps), R_upper_quantile(spec, eps).value)]
+
+    rows, marker = exact_sweep(dist, _parse_int_range(args), per_spectrum)
+    _write_output(args, headers, rows, {"eps": args.eps, "bias": args.bias, **marker})
 
 
 def _cmd_figure4(args) -> None:

@@ -1,4 +1,4 @@
-"""Source dispersion: the limiting normalized variance of optimal codelengths.
+"""Source dispersion, and the blocklength sweep every exact table runs on.
 
 For well-behaved sources (memoryless, ergodic Markov chains) the dispersion
 equals the varentropy rate, and the exact rank machinery turns that limit
@@ -6,12 +6,17 @@ statement into finite-blocklength diagnostics: traces of Var(len)/n and
 Var(iota)/n, the exact second moment of the codelength-surprisal gap (both
 read off the one dyadic walk of ``optcode.length_distribution``), and the
 normalized-dispersion curves sigma^2/H^2 over source families.
+
+``exact_sweep`` holds the budget rule of every sweep over blocklengths (the
+``limits``, ``bounds``, ``figure2``/``figure3`` and ``dispersion`` tables):
+rows up to the first blocklength whose exact spectrum exceeds its budget,
+and the constructor's own error when not even the first one fits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .bounds import gaussian_Q_inv
 from .budgets import Budgets, default_budgets
@@ -38,8 +43,7 @@ from .sources import (
 __all__ = [
     "DispersionTrace",
     "exact_spectrum",
-    "var_codelength",
-    "second_moment_gap",
+    "exact_sweep",
     "dispersion_estimate",
     "normalized_dispersion",
     "rd_characterization_check",
@@ -65,54 +69,64 @@ class DispersionTrace:
 def exact_spectrum(source: SourceSpec, n: int, budget: Budgets | None = None) -> InformationSpectrum:
     """Exact blocklength-n spectrum of a memoryless or Markov source.
 
-    Countable memoryless laws are truncated per their tail policy first.
-    It lives here, not in ``spectrum``, because ``perfbench/spans.py`` times
-    only calls that cross a module boundary, and the constructor calls made
-    from here do.
+    Countable memoryless laws are truncated per their tail policy first; a
+    sweep over n truncates once, in ``exact_sweep``.  It lives here, not in
+    ``spectrum``, because ``perfbench/spans.py`` times only calls that cross
+    a module boundary, and the constructor calls made from here do.
     """
     if isinstance(source, MarkovSource):
         return markov_spectrum_exact(source, n, budget)
     return iid_spectrum(as_finite(source), n, budget)
 
 
-def var_codelength(spec: InformationSpectrum) -> float:
-    """Var of the optimal codelength, from the exact length distribution."""
-    return length_distribution(spec).variance()
+def _normalised(source: SourceSpec) -> Union[FiniteDistribution, MarkovSource]:
+    """A countable law truncated per its tail policy; other sources as given."""
+    return source if isinstance(source, MarkovSource) else as_finite(source)
 
 
-def second_moment_gap(spec: InformationSpectrum) -> float:
-    """E[(codelength - surprisal)^2], exactly, by rank arithmetic.
+def exact_sweep(
+    source: SourceSpec,
+    n_list: Iterable[int],
+    per_spectrum: Callable[[InformationSpectrum], list],
+    budget: Budgets | None = None,
+) -> tuple[list, dict]:
+    """Rows ``per_spectrum(spec)`` over the exact spectra at ``n_list``, in
+    order, and a marker for the output sidecar.
 
-    Within one spectrum mass the surprisal is constant while the codelength
-    steps through dyadic rank blocks, so the expectation splits into
-    (count in block) * per-string-prob * (length - info)^2 terms, summed by
-    the same walk that gives the codelength distribution.
+    A countable law is truncated once.  The first blocklength whose spectrum
+    exceeds the budget ends the sweep with the marker
+    ``{"truncated_at_n": n, "budget_note": ...}``; when the first blocklength
+    already does, the constructor's error (and its suggestion) propagates.
     """
-    return length_distribution(spec).gap2
+    source, budget = _normalised(source), budget or default_budgets()
+    rows = []
+    for i, n in enumerate(n_list):
+        try:
+            spec = exact_spectrum(source, n, budget)
+        except BudgetExceededError as exc:
+            if i == 0:
+                raise
+            return rows, {"truncated_at_n": n, "budget_note": str(exc)}
+        rows += per_spectrum(spec)
+    return rows, {}
 
 
 def dispersion_estimate(
-    source: Union[FiniteDistribution, MarkovSource],
+    source: SourceSpec,
     n_list: Sequence[int],
     budget: Budgets | None = None,
 ) -> DispersionTrace:
     """Trace Var(len)/n toward the varentropy rate over the given blocklengths."""
-    budget = budget or default_budgets()
-    sigma2 = varentropy(source) if isinstance(source, FiniteDistribution) else markov_varentropy_rate(source)
-    ns, v_len, v_info, gaps = [], [], [], []
-    complete = True
-    for n in n_list:
-        try:
-            spec = exact_spectrum(source, n, budget)
-        except BudgetExceededError:
-            complete = False
-            break
-        lengths = length_distribution(spec)
-        ns.append(n)
-        v_len.append(lengths.variance() / n)
-        v_info.append(var_info(spec) / n)
-        gaps.append(lengths.gap2 / n)
-    return DispersionTrace(tuple(ns), tuple(v_len), tuple(v_info), tuple(gaps), sigma2, complete)
+    source = _normalised(source)
+    sigma2 = markov_varentropy_rate(source) if isinstance(source, MarkovSource) else varentropy(source)
+
+    def per_spectrum(spec: InformationSpectrum) -> list:
+        lengths, n = length_distribution(spec), spec.n
+        return [(n, lengths.variance() / n, var_info(spec) / n, lengths.gap2 / n)]
+
+    rows, marker = exact_sweep(source, n_list, per_spectrum, budget)
+    columns = tuple(zip(*rows)) or ((),) * 4
+    return DispersionTrace(*columns, sigma2, not marker)
 
 
 def normalized_dispersion(dist: Union[FiniteDistribution, CountableDistribution]) -> float:
@@ -122,8 +136,7 @@ def normalized_dispersion(dist: Union[FiniteDistribution, CountableDistribution]
     the blocklength multiplier that design requirements get scaled by.
     Countable marginals are truncated per their tail policy first.
     """
-    if isinstance(dist, CountableDistribution):
-        dist = dist.truncate()
+    dist = as_finite(dist)
     h = entropy(dist)
     if h <= 0.0:
         raise ValueError("normalized dispersion needs strictly positive entropy")
@@ -131,7 +144,7 @@ def normalized_dispersion(dist: Union[FiniteDistribution, CountableDistribution]
 
 
 def rd_characterization_check(
-    source: Union[FiniteDistribution, MarkovSource],
+    source: SourceSpec,
     eps_list: Sequence[float],
     n_list: Sequence[int],
     budget: Budgets | None = None,
@@ -142,10 +155,11 @@ def rd_characterization_check(
     desk-scale n, so entries approach sigma^2 slowly from below.
     """
     budget = budget or default_budgets()
-    if isinstance(source, FiniteDistribution):
-        h, sigma2 = entropy(source), varentropy(source)
-    else:
+    source = _normalised(source)
+    if isinstance(source, MarkovSource):
         h, sigma2 = markov_entropy_rate(source), markov_varentropy_rate(source)
+    else:
+        h, sigma2 = entropy(source), varentropy(source)
     if sigma2 <= 0.0:
         raise ValueError("characterization requires nonzero varentropy")
     rows = []

@@ -36,7 +36,6 @@ __all__ = [
     "CodelengthDistribution",
     "rank_cut",
     "epsilon_star",
-    "epsilon_curve",
     "R_star",
     "Rbar",
     "length_distribution",
@@ -108,12 +107,6 @@ def epsilon_star(spec: InformationSpectrum, k: int) -> float:
     return rank_cut(spec, (1 << k) - 1).excess_prob
 
 
-def epsilon_curve(spec: InformationSpectrum) -> list[float]:
-    """[epsilon_star(spec, k) for k in 0..total_count.bit_length()], read off
-    the one dyadic walk of ``length_distribution``."""
-    return list(length_distribution(spec).tail)
-
-
 def _least_k(eps_at: Callable[[int], float], k_max: int, eps: float) -> int:
     """Smallest k <= k_max with eps_at(k) <= eps, by the bisection every rate
     search shares, so lazy and precomputed curves agree even where the float
@@ -142,7 +135,7 @@ def R_star(spec: InformationSpectrum, eps: float) -> float:
 
 def rate_on_curve(curve: Sequence[float], n: int, eps: float) -> float:
     """Smallest rate k/n with curve[k] <= eps: R_star(spec, eps) on
-    ``epsilon_curve(spec)`` and prefix_R(spec, eps) on its prefix curve."""
+    ``length_distribution(spec).tail`` and prefix_R(spec, eps) on its prefix curve."""
     return _least_k(curve.__getitem__, len(curve) - 1, eps) / n
 
 
@@ -283,6 +276,6 @@ def prefix_R(spec: InformationSpectrum, eps: float) -> float:
 
 def prefix_epsilon_curve(spec: InformationSpectrum, curve: Sequence[float]) -> list[float]:
     """[prefix_epsilon(spec, k) for k in 0..len(curve)], read off
-    ``curve = epsilon_curve(spec)`` by the one-bit shift."""
+    ``curve = length_distribution(spec).tail`` by the one-bit shift."""
     total = spec.total_count
     return [1.0] + [eps if (1 << k) < total else 0.0 for k, eps in enumerate(curve)]

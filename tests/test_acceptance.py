@@ -54,7 +54,6 @@ from complimits.bounds import (
     gaussian_phi,
 )
 from complimits.binning import BinningProblem, binning_error_exact, binning_error_mc
-from complimits.dispersion import var_codelength
 
 from _oracles import (
     brute_R_star,
@@ -191,7 +190,7 @@ def _check_against_brute(spec, enumerated, n):
     for eps in _rate_eps_grid(spec):
         assert R_star(spec, eps) == pytest.approx(brute_R_star(probs, n, eps), abs=1e-15)
     assert Rbar(spec) == pytest.approx(brute_Rbar(probs, n), abs=1e-12)
-    assert var_codelength(spec) == pytest.approx(brute_var_len(probs), abs=1e-12)
+    assert length_distribution(spec).variance() == pytest.approx(brute_var_len(probs), abs=1e-12)
 
 
 def test_criterion_03_exact_oracle_equivalence():
@@ -358,14 +357,14 @@ def test_criterion_08_binning_exact_and_mc():
 def test_criterion_09_dispersion_convergence():
     sigma2 = 0.11 * 0.89 * math.log2(0.89 / 0.11) ** 2
     spec = iid_spectrum(B11, 2000)
-    v_len = var_codelength(spec) / 2000
+    v_len = length_distribution(spec).variance() / 2000
     assert abs(v_len - sigma2) / sigma2 <= 0.10
     # envelope: |Var(len) - Var(info)| = O(sqrt(n) log n); observed ratios
     # stay below 0.02, pinned at 1.0 as the regression guard
     worst = 0.0
     for n in (50, 100, 200, 400, 800, 1400, 2000):
         s = iid_spectrum(B11, n)
-        ratio = abs(var_codelength(s) - var_info(s)) / (math.sqrt(n) * math.log2(n))
+        ratio = abs(length_distribution(s).variance() - var_info(s)) / (math.sqrt(n) * math.log2(n))
         worst = max(worst, ratio)
     assert worst <= 1.0
     _report(

@@ -346,8 +346,8 @@ class TestBlocklengthRequirement:
         assert n_star_approx(P11, 1.2 * P11.H, 0.5) == 1
 
     def test_formula_value(self):
-        # (sigma^2/H^2) (Q^-1(0.1)/1.2)^2 ~ 4.07, rounded up
-        assert n_star_approx(P11, 1.2 * P11.H, 0.1) == 5
+        # (sigma^2/H^2) (Q^-1(0.1)/0.2)^2 ~ 146.3, rounded up
+        assert n_star_approx(P11, 1.2 * P11.H, 0.1) == 147
 
     def test_rate_below_entropy_rejected(self):
         with pytest.raises(ValueError):

@@ -6,15 +6,17 @@ import sys
 
 import pytest
 
+import complimits.cli
 from complimits.cli import _fmt, _write_output, main
 from complimits.optcode import R_star, Rbar, epsilon_star, prefix_R, prefix_epsilon
-from complimits.sources import bernoulli
+from complimits.sources import CountableDistribution, bernoulli
 from complimits.spectrum import iid_spectrum
 
 from _oracles import exact_success_factor
 
 B11_SRC = '{"type": "memoryless", "probs": [0.89, 0.11]}'
 CHAIN_SRC = '{"type": "markov", "kernel": [[0.9, 0.1], [0.2, 0.8]]}'
+LAW3_SRC = '{"type": "memoryless", "probs": [0.5, 0.3, 0.2]}'  # C(n+2, 2) type classes: n <= 8 fits 50
 
 
 def run_cli(args):
@@ -278,6 +280,59 @@ class TestSubcommands:
         lines = capsys.readouterr().out.strip().split("\n")
         rbar = float(lines[1].split(",")[4])
         assert rbar == pytest.approx(0.632843, abs=1e-5)
+
+
+class TestSweepBudgetRule:
+    """Every sweep over n writes the rows up to the first blocklength over
+    budget and marks the sidecar; it exits 3 only when no blocklength fits."""
+
+    # command argv, a range that partly fits, its first n over budget, a range where none fits
+    SWEEPS = {
+        "limits": (["limits", "--source", LAW3_SRC], ("5", "12"), 9, ("20", "22")),
+        "bounds": (["bounds", "--source", LAW3_SRC], ("5", "12"), 9, ("20", "22")),
+        "figure3": (["figure3"], ("40", "60"), 50, ("60", "62")),  # n + 1 type classes
+        "dispersion": (["dispersion", "--source", LAW3_SRC], ("5", "12"), 9, ("20", "22")),
+    }
+
+    @pytest.mark.parametrize("command", SWEEPS)
+    def test_partial_range_writes_rows_that_fit(self, command, tmp_path, monkeypatch):
+        monkeypatch.setenv("COMPLIMITS_TYPE_CLASS_BUDGET", "50")
+        argv, (lo, hi), cut, _ = self.SWEEPS[command]
+        path = tmp_path / "out.csv"
+        assert run_cli([*argv, "--n-min", lo, "--n-max", hi, "-o", str(path)]) == 0
+        rows = path.read_text().strip().split("\n")[1:]
+        assert sorted({int(row.split(",")[0]) for row in rows}) == list(range(int(lo), cut))
+        meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+        if command == "dispersion":
+            assert meta["complete"] is False
+        else:
+            assert meta["truncated_at_n"] == cut
+            assert "exceed budget 50" in meta["budget_note"]
+
+    @pytest.mark.parametrize("command", SWEEPS)
+    def test_no_blocklength_fits_is_budget_error(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COMPLIMITS_TYPE_CLASS_BUDGET", "50")
+        argv, _, _, (lo, hi) = self.SWEEPS[command]
+        assert run_cli([*argv, "--n-min", lo, "--n-max", hi]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["exit_code"] == 3 and "suggestion" in err
+
+    @pytest.mark.parametrize("command", ["limits", "bounds", "dispersion"])
+    def test_countable_law_truncated_once_per_sweep(self, command, monkeypatch):
+        calls = []
+
+        def pmf(k):
+            calls.append(k)
+            return 0.5 ** (k + 1)
+
+        law = CountableDistribution(pmf, name="counting geometric(0.5)")
+        law.truncate()
+        once, calls[:] = len(calls), []
+        monkeypatch.setattr(complimits.cli, "load_source", lambda doc: law)
+        assert run_cli([command, "--source", "{}", "--n-min", "1", "--n-max", "3"]) == 0
+        assert len(calls) == once
 
 
 class TestConsoleScript:

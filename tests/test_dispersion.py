@@ -25,8 +25,6 @@ from complimits.dispersion import (
     dispersion_estimate,
     normalized_dispersion,
     rd_characterization_check,
-    second_moment_gap,
-    var_codelength,
 )
 
 from _oracles import brute_second_moment_gap, brute_var_len, enumerate_iid, sorted_probs
@@ -37,28 +35,28 @@ B11 = bernoulli(0.11)
 class TestVarCodelength:
     def test_deterministic_source(self):
         s = iid_spectrum(FiniteDistribution.from_probs((1.0,)), 5)
-        assert var_codelength(s) == 0.0
+        assert length_distribution(s).variance() == 0.0
 
     def test_uniform_three(self):
         s = iid_spectrum(uniform_distribution(3), 1)
-        assert var_codelength(s) == pytest.approx(2 / 9, abs=1e-12)
+        assert length_distribution(s).variance() == pytest.approx(2 / 9, abs=1e-12)
 
     def test_matches_equiprobable_closed_form(self):
         for m in (5, 12, 100, 1000):
             s = iid_spectrum(uniform_distribution(m), 1)
-            assert var_codelength(s) == pytest.approx(var_length_equiprobable(m), abs=1e-9)
+            assert length_distribution(s).variance() == pytest.approx(var_length_equiprobable(m), abs=1e-9)
 
     def test_matches_brute_force(self):
         for dist, n in [(B11, 7), (FiniteDistribution.from_probs((0.5, 0.3, 0.2)), 4)]:
             s = iid_spectrum(dist, n)
             probs = sorted_probs(enumerate_iid(dist.probs, n))
-            assert var_codelength(s) == pytest.approx(brute_var_len(probs), abs=1e-12)
+            assert length_distribution(s).variance() == pytest.approx(brute_var_len(probs), abs=1e-12)
 
 
 class TestSecondMomentGap:
     def test_deterministic_source(self):
         s = iid_spectrum(FiniteDistribution.from_probs((1.0,)), 4)
-        assert second_moment_gap(s) == 0.0
+        assert length_distribution(s).gap2 == 0.0
 
     def test_dyadic_uniform_closed_form(self):
         # binary uniform blocks: surprisal is exactly n, so the gap reduces to
@@ -69,18 +67,18 @@ class TestSecondMomentGap:
             mean = expected_length_equiprobable(m)
             var = var_length_equiprobable(m)
             expected = var + (mean - n) ** 2
-            assert second_moment_gap(s) == pytest.approx(expected, rel=1e-9)
+            assert length_distribution(s).gap2 == pytest.approx(expected, rel=1e-9)
 
     def test_matches_brute_force(self):
         for dist, n in [(B11, 6), (FiniteDistribution.from_probs((0.6, 0.2, 0.2)), 4)]:
             s = iid_spectrum(dist, n)
             probs = sorted_probs(enumerate_iid(dist.probs, n))
-            assert second_moment_gap(s) == pytest.approx(brute_second_moment_gap(probs), abs=1e-10)
+            assert length_distribution(s).gap2 == pytest.approx(brute_second_moment_gap(probs), abs=1e-10)
 
     def test_log_squared_envelope(self):
         # observed: gap / log2(n)^2 stays bounded (observed max ~0.76 on 4..16)
         worst = max(
-            second_moment_gap(iid_spectrum(B11, n)) / math.log2(n) ** 2 for n in range(4, 17)
+            length_distribution(iid_spectrum(B11, n)).gap2 / math.log2(n) ** 2 for n in range(4, 17)
         )
         assert worst <= 1.5
 
@@ -117,8 +115,8 @@ class TestDispersionTraces:
         # |Var(len) - Var(info)| <= 2 gap2 + 2 sqrt(gap2) sqrt(Var(info))
         for n in (10, 50, 200):
             s = iid_spectrum(B11, n)
-            lhs = abs(var_codelength(s) - var_info(s))
-            gap2 = second_moment_gap(s)
+            lhs = abs(length_distribution(s).variance() - var_info(s))
+            gap2 = length_distribution(s).gap2
             rhs = 2 * gap2 + 2 * math.sqrt(gap2) * math.sqrt(var_info(s))
             assert lhs <= rhs + 1e-9
 
@@ -167,6 +165,24 @@ class TestNormalizedDispersion:
     def test_zero_entropy_rejected(self):
         with pytest.raises(ValueError):
             normalized_dispersion(FiniteDistribution.from_probs((1.0,)))
+
+
+class TestCountableSources:
+    """A countable law is truncated per its tail policy, as every sweep does."""
+
+    def test_dispersion_estimate_on_geometric(self):
+        trace = dispersion_estimate(geometric_distribution(0.3), [1, 2, 3])
+        finite = geometric_distribution(0.3).truncate()
+        assert trace == dispersion_estimate(finite, [1, 2, 3])
+        assert trace.complete and trace.n_list == (1, 2, 3)
+        assert trace.sigma2_ref == varentropy(finite)
+        assert trace.var_info[-1] == pytest.approx(varentropy(finite), rel=1e-9)
+
+    def test_rd_characterization_on_geometric(self):
+        rows = rd_characterization_check(geometric_distribution(0.3), [0.1], [1, 2, 3])
+        finite = geometric_distribution(0.3).truncate()
+        assert rows == rd_characterization_check(finite, [0.1], [1, 2, 3])
+        assert all(r["sigma2_bits2"] == varentropy(finite) for r in rows)
 
 
 class TestRdCharacterization:

@@ -18,7 +18,6 @@ from complimits.spectrum import ccdf, iid_spectrum, markov_spectrum_exact, marko
 from complimits.optcode import (
     R_star,
     Rbar,
-    epsilon_curve,
     epsilon_star,
     expected_length_equiprobable,
     length_distribution,
@@ -160,7 +159,7 @@ class TestEpsilonCurve:
     def test_bit_identical_to_per_k_path(self, name):
         s = self.SPECTRA[name]()
         kmax = s.total_count.bit_length()
-        curve = epsilon_curve(s)
+        curve = list(length_distribution(s).tail)
         assert curve == [epsilon_star(s, k) for k in range(kmax + 1)]
         prefix = prefix_epsilon_curve(s, curve)
         assert prefix == [prefix_epsilon(s, k) for k in range(kmax + 2)]
@@ -172,7 +171,7 @@ class TestEpsilonCurve:
     def test_mc_spectrum_rejected(self):
         mc = markov_spectrum_mc(MarkovSource(np.array([[0.9, 0.1], [0.2, 0.8]])), 4, 100, 0)
         with pytest.raises(UnsupportedSpectrumError):
-            epsilon_curve(mc)
+            length_distribution(mc)
 
 
 def _assert_matches_walk_references(spec):
