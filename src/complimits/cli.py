@@ -34,8 +34,8 @@ from .errors import (
 )
 from .optcode import R_star, length_distribution, prefix_epsilon_curve, rate_on_curve
 from .sources import (
+    FiniteDistribution,
     MarkovSource,
-    as_finite,
     bernoulli,
     binomial_distribution,
     entropy,
@@ -43,7 +43,7 @@ from .sources import (
     load_source,
     poisson_distribution,
 )
-from .spectrum import iid_spectrum, markov_spectrum_mc
+from .spectrum import cdf_values, iid_spectrum, markov_spectrum_mc
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -161,6 +161,13 @@ def _eps_level(high: float, zero_ok: bool = False):
     return parse
 
 
+def _memoryless_source(raw: str) -> FiniteDistribution:
+    source = _load_source_arg(raw)
+    if isinstance(source, MarkovSource):
+        raise DistributionError("a Markov source has no single-letter marginal; use its kernel")
+    return source
+
+
 def _parse_int_range(args) -> range:
     if args.n_max < args.n_min:
         raise ConfigurationError("--n-max must be at least --n-min")
@@ -205,7 +212,7 @@ def _cmd_limits(args) -> None:
 
 
 def _cmd_bounds(args) -> None:
-    dist = as_finite(_load_source_arg(args.source))
+    dist = _memoryless_source(args.source)
     params = GaussianParams.from_distribution(dist)
     eps = args.eps
     headers = (
@@ -231,8 +238,7 @@ def _cmd_bounds(args) -> None:
 
 
 def _cmd_binning(args) -> None:
-    source = _load_source_arg(args.source)
-    dist = as_finite(source)
+    dist = _memoryless_source(args.source)
     headers = ("n_bins", "exact_error_probability", "mc_estimate_probability", "mc_stderr_probability")
     rows = []
     for i, n_bins in enumerate(args.bins):
@@ -263,8 +269,8 @@ def _cmd_figure1(args) -> None:
     for l, p in zip(lengths.lengths, lengths.probs):
         cum += p
         rows.append(("codelength", float(l), min(cum, 1.0)))
-    for i in range(len(spec)):
-        rows.append(("information", float(spec.infos[i]), float(spec.cum_probs[i])))
+    for info, cum in zip(spec.infos.tolist(), cdf_values(spec).tolist()):
+        rows.append(("information", info, cum))
     meta = {
         "entropy_bits": entropy(dist),
         "expected_codelength_bits": lengths.mean(),
@@ -298,11 +304,11 @@ def _cmd_figure4(args) -> None:
         rows.append(("bernoulli", p, entropy(d), normalized_dispersion(d)))
     for q in [i / 200 for i in range(2, 199)]:
         g = geometric_distribution(q)
-        rows.append(("geometric", q, entropy(g.truncate()), normalized_dispersion(g)))
+        rows.append(("geometric", q, entropy(g), normalized_dispersion(g)))
     for lam10 in range(1, 101):
         lam = lam10 / 10
         pois = poisson_distribution(lam)
-        rows.append(("poisson", lam, entropy(pois.truncate()), normalized_dispersion(pois)))
+        rows.append(("poisson", lam, entropy(pois), normalized_dispersion(pois)))
     _write_output(args, headers, rows, {})
 
 

@@ -16,7 +16,7 @@ and the constructor's own error when not even the first one fits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 from .bounds import gaussian_Q_inv
 from .budgets import Budgets, default_budgets
@@ -29,11 +29,9 @@ from .spectrum import (
     var_info,
 )
 from .sources import (
-    CountableDistribution,
     FiniteDistribution,
     MarkovSource,
     SourceSpec,
-    as_finite,
     entropy,
     markov_entropy_rate,
     markov_varentropy_rate,
@@ -69,19 +67,13 @@ class DispersionTrace:
 def exact_spectrum(source: SourceSpec, n: int, budget: Budgets | None = None) -> InformationSpectrum:
     """Exact blocklength-n spectrum of a memoryless or Markov source.
 
-    Countable memoryless laws are truncated per their tail policy first; a
-    sweep over n truncates once, in ``exact_sweep``.  It lives here, not in
-    ``spectrum``, because ``perfbench/spans.py`` times only calls that cross
-    a module boundary, and the constructor calls made from here do.
+    Geometric and Poisson laws arrive already truncated.  It lives here, not
+    in ``spectrum``, because ``perfbench/spans.py`` times only calls that
+    cross a module boundary, and the constructor calls made from here do.
     """
     if isinstance(source, MarkovSource):
         return markov_spectrum_exact(source, n, budget)
-    return iid_spectrum(as_finite(source), n, budget)
-
-
-def _normalised(source: SourceSpec) -> Union[FiniteDistribution, MarkovSource]:
-    """A countable law truncated per its tail policy; other sources as given."""
-    return source if isinstance(source, MarkovSource) else as_finite(source)
+    return iid_spectrum(source, n, budget)
 
 
 def exact_sweep(
@@ -93,12 +85,12 @@ def exact_sweep(
     """Rows ``per_spectrum(spec)`` over the exact spectra at ``n_list``, in
     order, and a marker for the output sidecar.
 
-    A countable law is truncated once.  The first blocklength whose spectrum
-    exceeds the budget ends the sweep with the marker
-    ``{"truncated_at_n": n, "budget_note": ...}``; when the first blocklength
-    already does, the constructor's error (and its suggestion) propagates.
+    The first blocklength whose spectrum exceeds the budget ends the sweep
+    with the marker ``{"truncated_at_n": n, "budget_note": ...}``; when the
+    first blocklength already does, the constructor's error (and its
+    suggestion) propagates.
     """
-    source, budget = _normalised(source), budget or default_budgets()
+    budget = budget or default_budgets()
     rows = []
     for i, n in enumerate(n_list):
         try:
@@ -117,7 +109,6 @@ def dispersion_estimate(
     budget: Budgets | None = None,
 ) -> DispersionTrace:
     """Trace Var(len)/n toward the varentropy rate over the given blocklengths."""
-    source = _normalised(source)
     sigma2 = markov_varentropy_rate(source) if isinstance(source, MarkovSource) else varentropy(source)
 
     def per_spectrum(spec: InformationSpectrum) -> list:
@@ -129,14 +120,12 @@ def dispersion_estimate(
     return DispersionTrace(*columns, sigma2, not marker)
 
 
-def normalized_dispersion(dist: Union[FiniteDistribution, CountableDistribution]) -> float:
+def normalized_dispersion(dist: FiniteDistribution) -> float:
     """Dispersion over squared entropy, sigma^2 / H^2 (dimensionless).
 
     For memoryless sources the dispersion equals the varentropy, so this is
     the blocklength multiplier that design requirements get scaled by.
-    Countable marginals are truncated per their tail policy first.
     """
-    dist = as_finite(dist)
     h = entropy(dist)
     if h <= 0.0:
         raise ValueError("normalized dispersion needs strictly positive entropy")
@@ -155,7 +144,6 @@ def rd_characterization_check(
     desk-scale n, so entries approach sigma^2 slowly from below.
     """
     budget = budget or default_budgets()
-    source = _normalised(source)
     if isinstance(source, MarkovSource):
         h, sigma2 = markov_entropy_rate(source), markov_varentropy_rate(source)
     else:

@@ -32,7 +32,6 @@ from typing import Callable, Sequence
 from .spectrum import InformationSpectrum, count_times_pstring
 
 __all__ = [
-    "RankCut",
     "CodelengthDistribution",
     "rank_cut",
     "epsilon_star",
@@ -48,48 +47,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RankCut:
-    """Split of the ranked string list after the ``threshold`` most likely.
-
-    ``partial_count`` strings of the boundary mass (per-string probability
-    ``per_string_prob``) fall on the retained side; ``retained_prob`` and
-    ``excess_prob`` are the probabilities of the two sides.
-    """
-
-    threshold: int
-    index: int
-    cum_count_below: int
-    cum_prob_below: float
-    partial_count: int
-    per_string_prob: float
-    retained_prob: float
-    excess_prob: float
-
-
-def _string_prob(info: float) -> float:
-    """Per-string probability 2^(-info), flushed to 0 beyond 1000 bits."""
-    return 2.0 ** (-info) if info <= 1000.0 else 0.0
-
-
-def rank_cut(spec: InformationSpectrum, threshold: int) -> RankCut:
-    """Locate the cut after the ``threshold`` highest-probability strings."""
+def rank_cut(spec: InformationSpectrum, threshold: int) -> float:
+    """Probability of the strings ranked after the ``threshold`` most likely:
+    the masses past the cut plus the part of the boundary mass past it."""
     spec.require_exact("rank_cut")
     threshold = int(threshold)
     if threshold <= 0:
-        return RankCut(0, -1, 0, 0.0, 0, _string_prob(float(spec.infos[0])), 0.0, float(spec.suffix_probs[0]))
-    total = spec.total_count
-    if threshold >= total:
-        return RankCut(threshold, len(spec), total, float(spec.cum_probs[-1]), 0, 0.0, float(spec.cum_probs[-1]), 0.0)
+        return float(spec.suffix_probs[0])
+    if threshold >= spec.total_count:
+        return 0.0
     i = bisect_left(spec.cum_counts, threshold)
-    before = spec.cum_counts[i - 1] if i > 0 else 0
-    partial = threshold - before
-    info_i = float(spec.infos[i])
-    p_string = _string_prob(info_i)
-    prob_before = float(spec.cum_probs[i - 1]) if i > 0 else 0.0
-    retained = prob_before + count_times_pstring(partial, info_i)
-    excess = float(spec.suffix_probs[i + 1]) + count_times_pstring(spec.counts[i] - partial, info_i)
-    return RankCut(threshold, i, before, prob_before, partial, p_string, retained, excess)
+    return float(spec.suffix_probs[i + 1]) + count_times_pstring(spec.cum_counts[i] - threshold, float(spec.infos[i]))
 
 
 def epsilon_star(spec: InformationSpectrum, k: int) -> float:
@@ -104,7 +72,7 @@ def epsilon_star(spec: InformationSpectrum, k: int) -> float:
         raise ValueError("codelength threshold must be nonnegative")
     if k == 0:
         return 1.0
-    return rank_cut(spec, (1 << k) - 1).excess_prob
+    return rank_cut(spec, (1 << k) - 1)
 
 
 def _least_k(eps_at: Callable[[int], float], k_max: int, eps: float) -> int:

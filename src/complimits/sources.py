@@ -1,11 +1,11 @@
 """Source models and their information moments.
 
 A source is either memoryless (a probability mass function on a finite
-alphabet, possibly obtained by truncating a countable one) or a finite-state
-Markov chain.  Everything downstream is driven by the per-outcome surprisal
-iota(x) = log2(1/P(x)), so this module also computes its moments: entropy,
-varentropy (the variance of the surprisal), the third centered absolute
-moment, and their per-step rates for Markov chains.
+alphabet; geometric and Poisson laws are truncated when built) or a
+finite-state Markov chain.  Everything downstream is driven by the
+per-outcome surprisal iota(x) = log2(1/P(x)), so this module also computes
+its moments: entropy, varentropy (the variance of the surprisal), the third
+centered absolute moment, and their per-step rates for Markov chains.
 
 All logarithms are base 2; moments are in bits, bits^2 and bits^3.
 """
@@ -24,10 +24,10 @@ from .errors import ConvergenceError, DistributionError, StructuralError
 PROB_SUM_TOL = 1e-12
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-12
+MAX_SUPPORT = 10_000_000  # symbols a truncated countable law may keep
 
 __all__ = [
     "FiniteDistribution",
-    "CountableDistribution",
     "MarkovSource",
     "entropy",
     "varentropy",
@@ -42,7 +42,6 @@ __all__ = [
     "poisson_distribution",
     "iid_kernel",
     "load_source",
-    "as_finite",
     "SourceSpec",
 ]
 
@@ -93,62 +92,51 @@ class FiniteDistribution:
         return np.asarray(self.probs, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class CountableDistribution:
-    """Distribution on a countable alphabet, used through a finite truncation.
+def _truncated(pmf: Callable[[int], float], tail_bound: float, name: str) -> FiniteDistribution:
+    """Finite law on k = 0, 1, ... holding at least 1 - tail_bound of a countable one.
 
-    ``pmf(k)`` gives the mass of the k-th symbol (k = 0, 1, ...).  The
-    truncation keeps at least 1 - tail_bound of the total mass; with the
-    default tail_bound of 1e-12 the truncated object still satisfies the
-    FiniteDistribution normalization invariant and the dropped tail sits far
-    below display precision.  Larger tail bounds force a renormalization.
+    With the default tail_bound of 1e-12 the kept masses already satisfy the
+    normalization invariant and the dropped tail sits far below display
+    precision; a fatter tail forces a renormalization.
     """
-
-    pmf: Callable[[int], float]
-    tail_bound: float = 1e-12
-    name: str = "countable"
-    max_support: int = 10_000_000
-
-    def truncate(self) -> FiniteDistribution:
-        probs = []
-        cum = 0.0
-        k = 0
-        while cum < 1.0 - self.tail_bound:
-            p = float(self.pmf(k))
-            if p < 0.0:
-                raise DistributionError(f"pmf({k}) is negative")
-            probs.append(p)
-            cum += p
-            k += 1
-            if k > self.max_support:
-                raise DistributionError(
-                    f"truncation of {self.name} did not reach 1 - {self.tail_bound} "
-                    f"within {self.max_support} symbols"
-                )
-        deficit = 1.0 - math.fsum(probs)
-        if deficit > PROB_SUM_TOL:
-            # keep exact masses whenever allowed; renormalize only when the
-            # configured tail is too fat for the normalization invariant
-            probs = [p / (1.0 - deficit) for p in probs]
-        return FiniteDistribution.from_probs(probs)
+    probs = []
+    cum = 0.0
+    k = 0
+    while cum < 1.0 - tail_bound:
+        p = float(pmf(k))
+        if p < 0.0:
+            raise DistributionError(f"pmf({k}) is negative")
+        probs.append(p)
+        cum += p
+        k += 1
+        if k > MAX_SUPPORT:
+            raise DistributionError(
+                f"truncation of {name} did not reach 1 - {tail_bound} within {MAX_SUPPORT} symbols"
+            )
+    deficit = 1.0 - math.fsum(probs)
+    if deficit > PROB_SUM_TOL:
+        # keep exact masses whenever allowed; renormalize only when the
+        # configured tail is too fat for the normalization invariant
+        probs = [p / (1.0 - deficit) for p in probs]
+    return FiniteDistribution.from_probs(probs)
 
 
-def geometric_distribution(q: float, tail_bound: float = 1e-12) -> CountableDistribution:
-    """Geometric law P(k) = q * (1-q)^k on k = 0, 1, 2, ..."""
+def geometric_distribution(q: float, tail_bound: float = 1e-12) -> FiniteDistribution:
+    """Geometric law P(k) = q * (1-q)^k on k = 0, 1, 2, ..., truncated to 1 - tail_bound."""
     if not 0.0 < q < 1.0:
         raise DistributionError("geometric parameter must lie in (0, 1)")
-    return CountableDistribution(lambda k: q * (1.0 - q) ** k, tail_bound, name=f"geometric({q})")
+    return _truncated(lambda k: q * (1.0 - q) ** k, tail_bound, f"geometric({q})")
 
 
-def poisson_distribution(lam: float, tail_bound: float = 1e-12) -> CountableDistribution:
-    """Poisson law with mean lam on k = 0, 1, 2, ..."""
+def poisson_distribution(lam: float, tail_bound: float = 1e-12) -> FiniteDistribution:
+    """Poisson law with mean lam on k = 0, 1, 2, ..., truncated to 1 - tail_bound."""
     if lam <= 0.0:
         raise DistributionError("poisson parameter must be positive")
 
     def pmf(k: int) -> float:
         return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
 
-    return CountableDistribution(pmf, tail_bound, name=f"poisson({lam})")
+    return _truncated(pmf, tail_bound, f"poisson({lam})")
 
 
 def bernoulli(p: float) -> FiniteDistribution:
@@ -397,7 +385,7 @@ def markov_varentropy_rate(src: MarkovSource) -> float:
 # JSON source descriptions
 # ---------------------------------------------------------------------------
 
-SourceSpec = Union[FiniteDistribution, MarkovSource, CountableDistribution]
+SourceSpec = Union[FiniteDistribution, MarkovSource]
 
 
 def load_source(doc: Union[str, dict]) -> SourceSpec:
@@ -439,12 +427,3 @@ def load_source(doc: Union[str, dict]) -> SourceSpec:
     except KeyError as exc:
         raise DistributionError(f"source description missing field {exc}") from exc
     raise DistributionError(f"unknown source type {kind!r}")
-
-
-def as_finite(source: SourceSpec) -> FiniteDistribution:
-    """Finite marginal view of a memoryless source (truncating countable ones)."""
-    if isinstance(source, FiniteDistribution):
-        return source
-    if isinstance(source, CountableDistribution):
-        return source.truncate()
-    raise DistributionError("a Markov source has no single-letter marginal; use its kernel")

@@ -11,8 +11,10 @@ Masses are sorted by increasing surprisal, i.e. decreasing per-string
 probability.  A mass probability is count * 2^(-surprisal), through log space
 only for counts beyond 53 bits or surprisals beyond 1000 bits.  Masses within
 1e-12 bits of the first surprisal of their group merge, with ``math.fsum``
-over their probabilities, so that counting queries are well defined; queries
-read Kahan-compensated prefix and suffix sums.
+over their probabilities, so that counting queries are well defined.  Every
+limit reads the excess side, so a spectrum keeps Kahan-compensated suffix
+sums; the retained side P[surprisal <= a] is formed on request
+(``cdf_values``).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "markov_spectrum_exact",
     "markov_spectrum_mc",
     "ccdf",
+    "cdf_values",
     "count_heavier",
     "mean_info",
     "var_info",
@@ -78,8 +81,9 @@ def _query_tol(x: float) -> float:
 class InformationSpectrum:
     """Sorted surprisal masses (value bits, probability, exact string count).
 
-    Immutable after construction; the cumulative arrays used by queries are
-    built eagerly so concurrent readers share only read-only state.
+    Immutable after construction; the suffix probabilities and cumulative
+    counts that queries read are built eagerly, so concurrent readers share
+    only read-only state.
     """
 
     __slots__ = (
@@ -89,7 +93,6 @@ class InformationSpectrum:
         "n",
         "exact",
         "sample_size",
-        "cum_probs",
         "suffix_probs",
         "cum_counts",
     )
@@ -124,12 +127,10 @@ class InformationSpectrum:
         self.exact = bool(exact)
         self.sample_size = int(sample_size)
 
-        self.cum_probs = _kahan_prefix(probs_arr)
         # past the last nonzero probability the compensated sum stays +0.0
         live = int(np.flatnonzero(probs_arr)[-1]) + 1
         self.suffix_probs = np.zeros(len(probs_arr) + 1)
         self.suffix_probs[:live] = _kahan_prefix(probs_arr[:live][::-1])[::-1]
-        self.cum_probs.setflags(write=False)
         self.suffix_probs.setflags(write=False)
         self.cum_counts = tuple(itertools.accumulate(counts_t))
 
@@ -238,7 +239,7 @@ def iid_spectrum(dist: FiniteDistribution, n: int, budget: Budgets | None = None
     if n_classes > budget.type_classes:
         raise BudgetExceededError(
             f"{n_classes} type classes exceed budget {budget.type_classes}",
-            suggestion="raise COMPLIMITS_TYPE_CLASS_BUDGET or sample with markov_spectrum_mc",
+            suggestion="raise COMPLIMITS_TYPE_CLASS_BUDGET or shorten the blocklength range",
         )
     iotas = [0.0 - math.log2(p) for p in dist.probs]  # 0.0 - x, not -x: a certain symbol costs +0.0 bits
     if m == 1:
@@ -346,6 +347,11 @@ def ccdf(spec: InformationSpectrum, a: float) -> float:
     """P[surprisal >= a], from precomputed compensated suffix sums."""
     i = int(np.searchsorted(spec.infos, a - _query_tol(a), side="left"))
     return float(spec.suffix_probs[i])
+
+
+def cdf_values(spec: InformationSpectrum) -> np.ndarray:
+    """P[surprisal <= infos[i]] for every mass i, as compensated prefix sums."""
+    return _kahan_prefix(spec.probs)
 
 
 def count_heavier(spec: InformationSpectrum, beta: float) -> int:

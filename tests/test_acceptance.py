@@ -29,6 +29,7 @@ from complimits.sources import (
     varentropy,
 )
 from complimits.spectrum import (
+    cdf_values,
     iid_spectrum,
     markov_spectrum_exact,
     markov_spectrum_mc,
@@ -130,7 +131,7 @@ def test_criterion_01_diagnosis_is_verified():
 
 
 def test_criterion_02_geometric():
-    dist = geometric_distribution(0.5).truncate()
+    dist = geometric_distribution(0.5)
     rbar = Rbar(iid_spectrum(dist, 1))
     assert rbar == pytest.approx(0.632843, abs=1e-5)
     # prefix oracle: runs of zeros terminated by a one, length j for the j-th
@@ -308,7 +309,7 @@ def test_criterion_07_berry_esseen_instance():
         scale = sigma * math.sqrt(n)
         sup = ks_sup_distance(
             [float(v) for v in spec.infos],
-            [float(c) for c in spec.cum_probs],
+            cdf_values(spec).tolist(),
             lambda v: (v - n * h) / scale,
         )
         bound = mu3 / (2 * sigma**3 * math.sqrt(n))
@@ -431,7 +432,7 @@ def test_clt_shape_check_monte_carlo():
     scale = math.sqrt(sigma2 * n)
     ks = ks_sup_distance(
         [float(v) for v in spec.infos],
-        [float(c) for c in spec.cum_probs],
+        cdf_values(spec).tolist(),
         lambda v: (v - mean_exact) / scale,
     )
     assert ks < 0.02, f"Kolmogorov distance {ks:.4f}"

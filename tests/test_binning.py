@@ -150,7 +150,7 @@ TIE_LAWS = [
     FiniteDistribution.from_probs((0.4, 0.2, 0.2, 0.1, 0.1)),
     FiniteDistribution.from_probs((0.5, 0.125, 0.125, 0.125, 0.125)),
     FiniteDistribution.from_probs((0.1, 0.3, 0.3, 0.2, 0.1)),
-    geometric_distribution(0.3).truncate(),
+    geometric_distribution(0.3),
 ]
 
 

@@ -6,10 +6,9 @@ import sys
 
 import pytest
 
-import complimits.cli
 from complimits.cli import _fmt, _write_output, main
 from complimits.optcode import R_star, Rbar, epsilon_star, prefix_R, prefix_epsilon
-from complimits.sources import CountableDistribution, bernoulli
+from complimits.sources import bernoulli
 from complimits.spectrum import iid_spectrum
 
 from _oracles import exact_success_factor
@@ -41,6 +40,12 @@ class TestExitCodes:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert "suggestion" in err
+
+    @pytest.mark.parametrize("argv", [["bounds", "--n-min", "2", "--n-max", "3"], ["binning", "--bins", "2"]])
+    def test_markov_source_needs_single_letter_law(self, argv, capsys):
+        assert run_cli([*argv, "--source", CHAIN_SRC]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == "a Markov source has no single-letter marginal; use its kernel"
 
     def test_numeric_validity_error(self, capsys):
         code = run_cli(["bounds", "--source", '{"type":"memoryless","probs":[0.5,0.5]}',
@@ -319,20 +324,13 @@ class TestSweepBudgetRule:
         err = json.loads(captured.err)
         assert err["exit_code"] == 3 and "suggestion" in err
 
-    @pytest.mark.parametrize("command", ["limits", "bounds", "dispersion"])
-    def test_countable_law_truncated_once_per_sweep(self, command, monkeypatch):
-        calls = []
-
-        def pmf(k):
-            calls.append(k)
-            return 0.5 ** (k + 1)
-
-        law = CountableDistribution(pmf, name="counting geometric(0.5)")
-        law.truncate()
-        once, calls[:] = len(calls), []
-        monkeypatch.setattr(complimits.cli, "load_source", lambda doc: law)
-        assert run_cli([command, "--source", "{}", "--n-min", "1", "--n-max", "3"]) == 0
-        assert len(calls) == once
+    def test_memoryless_budget_error_does_not_suggest_sampling(self, capsys, monkeypatch):
+        # Monte-Carlo sampling takes Markov sources only
+        monkeypatch.setenv("COMPLIMITS_TYPE_CLASS_BUDGET", "50")
+        assert run_cli(["limits", "--source", LAW3_SRC, "--n-min", "20", "--n-max", "22"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert "COMPLIMITS_TYPE_CLASS_BUDGET" in err["suggestion"]
+        assert "markov_spectrum_mc" not in err["suggestion"]
 
 
 class TestConsoleScript:

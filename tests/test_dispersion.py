@@ -168,11 +168,11 @@ class TestNormalizedDispersion:
 
 
 class TestCountableSources:
-    """A countable law is truncated per its tail policy, as every sweep does."""
+    """A countable law, truncated when built, runs through every sweep."""
 
     def test_dispersion_estimate_on_geometric(self):
         trace = dispersion_estimate(geometric_distribution(0.3), [1, 2, 3])
-        finite = geometric_distribution(0.3).truncate()
+        finite = geometric_distribution(0.3)
         assert trace == dispersion_estimate(finite, [1, 2, 3])
         assert trace.complete and trace.n_list == (1, 2, 3)
         assert trace.sigma2_ref == varentropy(finite)
@@ -180,7 +180,7 @@ class TestCountableSources:
 
     def test_rd_characterization_on_geometric(self):
         rows = rd_characterization_check(geometric_distribution(0.3), [0.1], [1, 2, 3])
-        finite = geometric_distribution(0.3).truncate()
+        finite = geometric_distribution(0.3)
         assert rows == rd_characterization_check(finite, [0.1], [1, 2, 3])
         assert all(r["sigma2_bits2"] == varentropy(finite) for r in rows)
 

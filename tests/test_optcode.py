@@ -86,32 +86,23 @@ def integral_identity_check(spec):
 
 class TestRankCut:
     def test_zero_threshold(self):
-        cut = rank_cut(S11_2, 0)
-        assert cut.retained_prob == 0.0
-        assert cut.excess_prob == pytest.approx(1.0, abs=1e-12)
-        assert cut.per_string_prob == pytest.approx(0.7921, abs=1e-12)
-
-    def test_zero_threshold_reports_per_string_prob(self):
-        # Bernoulli(1/2) at n = 3 is one mass of 8 strings: 1/8 each, not the class mass 1
-        cut = rank_cut(iid_spectrum(bernoulli(0.5), 3), 0)
-        assert cut.per_string_prob == 0.125
+        assert rank_cut(S11_2, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_full_threshold(self):
-        cut = rank_cut(S11_2, 4)
-        assert cut.excess_prob == 0.0
+        assert rank_cut(S11_2, 4) == 0.0
 
     def test_partial_tie_split(self):
-        cut = rank_cut(S11_2, 2)  # second string sits inside the count-2 mass
-        assert cut.index == 1
-        assert cut.partial_count == 1
-        assert cut.retained_prob == pytest.approx(0.7921 + 0.0979, abs=1e-12)
-        assert cut.excess_prob == pytest.approx(0.0979 + 0.0121, abs=1e-12)
+        # second string sits inside the count-2 mass
+        assert rank_cut(S11_2, 2) == pytest.approx(0.0979 + 0.0121, abs=1e-12)
 
-    def test_counts_monotone_in_threshold(self):
-        s = iid_spectrum(B11, 6)
-        cuts = [rank_cut(s, m) for m in range(0, 65, 7)]
-        retained = [c.cum_count_below + c.partial_count for c in cuts]
-        assert retained == sorted(retained)
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    def test_every_threshold_matches_brute_force_tail(self, n):
+        # B(0.11) has a tie class of C(n, j) strings at every weight j
+        probs, spec = sorted_probs(enumerate_iid(B11.probs, n)), iid_spectrum(B11, n)
+        for threshold in range((1 << n) + 2):
+            assert rank_cut(spec, threshold) == pytest.approx(
+                math.fsum(probs[threshold:]), rel=1e-12, abs=1e-15
+            )
 
 
 class TestEpsilonStar:
@@ -295,7 +286,7 @@ class TestRStarViaCounting:
 
 class TestRbar:
     def test_geometric_half(self):
-        s = iid_spectrum(geometric_distribution(0.5).truncate(), 1)
+        s = iid_spectrum(geometric_distribution(0.5), 1)
         assert Rbar(s) == pytest.approx(0.632843, abs=1e-5)
 
     def test_uniform_7(self):

@@ -97,7 +97,7 @@ def check_count_integral_identity():
         iid_spectrum(bernoulli(0.11), 32),
         iid_spectrum(uniform_distribution(3), 3),
         iid_spectrum(FiniteDistribution.from_probs((0.5, 0.3, 0.2)), 4),
-        iid_spectrum(geometric_distribution(0.5).truncate(), 1),
+        iid_spectrum(geometric_distribution(0.5), 1),
     ]
     points = 0
     for spec in spectra:

@@ -5,7 +5,6 @@ import pytest
 
 from complimits.errors import DistributionError, StructuralError
 from complimits.sources import (
-    CountableDistribution,
     FiniteDistribution,
     MarkovSource,
     bernoulli,
@@ -112,17 +111,17 @@ class TestMoments:
 
 class TestCountable:
     def test_geometric_truncation_mass(self):
-        d = geometric_distribution(0.5).truncate()
+        d = geometric_distribution(0.5)
         assert math.fsum(d.probs) == pytest.approx(1.0, abs=1e-12)
         assert d.probs[0] == pytest.approx(0.5)
 
     def test_poisson_truncation(self):
-        d = poisson_distribution(3.0).truncate()
+        d = poisson_distribution(3.0)
         assert math.fsum(d.probs) == pytest.approx(1.0, abs=1e-12)
         assert len(d) > 10
 
     def test_fat_tail_bound_renormalizes(self):
-        d = CountableDistribution(lambda k: 0.5 ** (k + 1), tail_bound=1e-3).truncate()
+        d = geometric_distribution(0.5, tail_bound=1e-3)  # pmf 0.5^(k+1)
         assert math.fsum(d.probs) == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_parameters(self):
@@ -284,9 +283,9 @@ class TestJsonLoading:
 
     def test_geometric_and_poisson(self):
         g = load_source('{"type": "geometric", "param": 0.5}')
-        assert isinstance(g, CountableDistribution)
+        assert isinstance(g, FiniteDistribution)
         p = load_source('{"type": "poisson", "param": 2.0}')
-        assert isinstance(p, CountableDistribution)
+        assert isinstance(p, FiniteDistribution)
 
     def test_unknown_type(self):
         with pytest.raises(DistributionError):

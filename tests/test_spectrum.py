@@ -21,6 +21,7 @@ from complimits.spectrum import (
     MERGE_TOL,
     _finish,
     ccdf,
+    cdf_values,
     count_heavier,
     count_times_pstring,
     iid_spectrum,
@@ -137,8 +138,9 @@ def _reference(triples):
 
 def _assert_matches_reference(spec, triples):
     ref = _reference(triples)
-    for field in ("infos", "probs", "cum_probs", "suffix_probs"):
+    for field in ("infos", "probs", "suffix_probs"):
         assert np.array_equal(getattr(spec, field), ref[field]), field
+    assert np.array_equal(cdf_values(spec), ref["cum_probs"])
     assert spec.counts == ref["counts"]
     assert spec.cum_counts == ref["cum_counts"]
 
@@ -180,11 +182,12 @@ class TestIidSpectrum:
         assert len(groups) == len(s)
         assert [g[1] for g in groups] == list(s.counts)
 
-    def test_budget_exceeded_suggests_sampling(self):
+    def test_budget_exceeded_suggests_raising_budget(self):
         d = FiniteDistribution.from_probs((0.25,) * 4)
         with pytest.raises(BudgetExceededError) as err:
             iid_spectrum(d, 500, Budgets(type_classes=1000))
-        assert "markov_spectrum_mc" in err.value.suggestion
+        assert "COMPLIMITS_TYPE_CLASS_BUDGET" in err.value.suggestion
+        assert "markov_spectrum_mc" not in err.value.suggestion  # sampling takes Markov sources only
 
     def test_moments_match_source(self):
         for n in (1, 7, 40):
