@@ -8,9 +8,9 @@ probability p, J-1 equal-probability peers and M strictly heavier peers is
 
     sum_{l=0}^{J-1} C(J-1, l) / (N^l (1+l)) * (1 - 1/N)^(M + J - l - 1),
 
-which this module evaluates through its closed form  (N/J) q^M (1 - q^J)
-with q = 1 - 1/N, taking q^M = exp(M log1p(-1/N)) and 1 - q^J =
--expm1(J log1p(-1/N)) so that nothing cancels at large N.  N = 1 is
+whose closed form is (N/J) q^M (1 - q^J) with q = 1 - 1/N.  This module sums
+the error side, 1 minus that factor, through log1p, expm1 and a short series,
+so that the error keeps its relative accuracy at any N.  N = 1 is
 legitimate: the decoder simply guesses the global argmax.
 
 The Monte-Carlo cross-check reads one PCG64 stream per seed in a fixed
@@ -109,22 +109,37 @@ def _log_q_power(count: int, log_q: float) -> float:
         return -math.inf
 
 
-def _success_factor(n_bins: int, j: int, m_heavier: int) -> float:
-    """(N/J) q^M (1 - q^J) with q = 1 - 1/N, through log1p and expm1."""
-    if n_bins == 1:  # single bin: survive only with no heavier peer, then 1/J tie pick
-        return (1.0 / j) if m_heavier == 0 else 0.0
+def _error_factor(n_bins: int, j: int, m_heavier: int) -> float:
+    """1 - (N/J) q^M (1 - q^J) without cancellation: a heavier string shares the
+    bin (1 - q^M), or else the tie pick misses (1 - (N/J)(1 - q^J)).  The latter
+    is at least 0.06 unless 8J <= N; there it is sum_{k>=2} (-1)^k C(J,k) / (J N^(k-1))."""
+    if n_bins == 1:  # single bin: lost to any heavier peer, else to the 1/J tie pick
+        return 1.0 if m_heavier else 1.0 - 1.0 / j
     log_q = math.log1p(-1.0 / n_bins)
-    return (n_bins / j) * math.exp(_log_q_power(m_heavier, log_q)) * -math.expm1(_log_q_power(j, log_q))
+    lost_heavier = -math.expm1(_log_q_power(m_heavier, log_q))
+    if 8 * j <= n_bins:
+        term, k = (j - 1) / (2 * n_bins), 2
+        terms = [term]
+        while abs(term) > 2.0 ** -60 * terms[0]:
+            term *= -(j - k) / ((k + 1) * n_bins)
+            terms.append(term)
+            k += 1
+        lost_tie = math.fsum(terms)
+    else:
+        lost_tie = 1.0 + (n_bins / j) * math.expm1(_log_q_power(j, log_q))
+    return lost_heavier + (1.0 - lost_heavier) * lost_tie
 
 
 def binning_error_exact(problem: BinningProblem) -> float:
-    """Expected error probability averaged over all uniform bin assignments."""
-    total_success = []
+    """Expected error probability averaged over all uniform bin assignments,
+    as 1 - sum P(class) + sum P(class) error_factor: the law's own deficit
+    counts as error too."""
+    terms = [1.0]
     for cls in mass_profile(problem.dist):
         # J p exactly rounded, also for class sizes beyond double range
         class_prob = float(Fraction(cls.per_string_prob) * cls.equal_count)
-        total_success.append(class_prob * _success_factor(problem.n_bins, cls.equal_count, cls.heavier_count))
-    return 1.0 - math.fsum(total_success)
+        terms += (-class_prob, class_prob * _error_factor(problem.n_bins, cls.equal_count, cls.heavier_count))
+    return math.fsum(terms)
 
 
 def binning_error_mc(problem: BinningProblem, trials: int, seed: int) -> tuple[float, float]:

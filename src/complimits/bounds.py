@@ -267,7 +267,7 @@ def achievability_iid(params: GaussianParams, n: int, eps: float) -> BoundReport
         raise ValueError("eps must lie in (0, 1/2]")
     lam = gaussian_Q_inv(eps)
     sigma = params.sigma
-    base = params.H + sigma * lam / math.sqrt(n) - math.log2(n) / (2.0 * n)
+    base = approx_Rstar(params, n, eps)
     log_term = math.log2(LOG2E / math.sqrt(2.0 * math.pi * params.sigma2) + params.mu3 / sigma ** 3) / n
     inner = gaussian_Phi(lam) + params.mu3 / (sigma ** 3 * math.sqrt(n))
     condition = "requires Phi(Q^-1(eps)) + mu3/(sigma^3 sqrt(n)) < 1"
@@ -294,12 +294,7 @@ def converse_iid(params: GaussianParams, n: int, eps: float) -> BoundReport:
     lam = gaussian_Q_inv(eps)
     sigma = params.sigma
     n0 = 0.25 * (1.0 + params.mu3 / (2.0 * sigma ** 3)) ** 2 / (gaussian_phi(lam) * lam) ** 2
-    value = (
-        params.H
-        + sigma * lam / math.sqrt(n)
-        - math.log2(n) / (2.0 * n)
-        - (params.mu3 / 2.0 + sigma ** 3) / (n * params.sigma2 * gaussian_phi(lam))
-    )
+    value = approx_Rstar(params, n, eps) - (params.mu3 / 2.0 + sigma ** 3) / (n * params.sigma2 * gaussian_phi(lam))
     return BoundReport(value, "converse", n > n0, f"requires n > {n0:.6g}", n0=n0)
 
 
@@ -363,7 +358,7 @@ def markov_converse(params: GaussianParams, n: int, eps: float) -> BoundReport:
     density = gaussian_phi(lam)
     c_const = params.sigma * (a_const + 1.0) / density + 1.0
     n_min = ((a_const + 1.0) / (lam * density)) ** 2
-    value = params.H + params.sigma * lam / math.sqrt(n) - math.log2(n) / (2.0 * n) - c_const / n
+    value = approx_Rstar(params, n, eps) - c_const / n
     return BoundReport(value, "converse", n >= n_min, f"requires n >= {n_min:.6g}", n0=n_min)
 
 

@@ -1,19 +1,15 @@
 """Size budgets for exact computations.
 
-Defaults are safe for an interactive machine and can be overridden per call,
-or globally through environment variables:
+Each exact spectrum constructor reads its own budget from the environment
+when it runs, falling back to a default safe for an interactive machine:
 
     COMPLIMITS_TYPE_CLASS_BUDGET   max number of type classes in an exact
                                    memoryless spectrum (default 2_000_000)
-    COMPLIMITS_ENUM_BUDGET         max number of strings enumerated exactly
-                                   (Markov spectra, code tables; default 20_000)
+    COMPLIMITS_ENUM_BUDGET         max number of paths enumerated in an exact
+                                   Markov spectrum (default 20_000)
 """
 
 import os
-from dataclasses import dataclass
-
-_DEFAULT_TYPE_CLASSES = 2_000_000
-_DEFAULT_ENUMERATION = 20_000
 
 
 def _env_int(name: str, default: int) -> int:
@@ -29,17 +25,11 @@ def _env_int(name: str, default: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Budgets:
-    """Resolved budget set; construct via :func:`default_budgets`."""
-
-    type_classes: int = _DEFAULT_TYPE_CLASSES
-    enumeration: int = _DEFAULT_ENUMERATION
+def type_class_budget() -> int:
+    """Largest number of type classes an exact memoryless spectrum may hold."""
+    return _env_int("COMPLIMITS_TYPE_CLASS_BUDGET", 2_000_000)
 
 
-def default_budgets() -> Budgets:
-    """Budgets from environment overrides, falling back to library defaults."""
-    return Budgets(
-        type_classes=_env_int("COMPLIMITS_TYPE_CLASS_BUDGET", _DEFAULT_TYPE_CLASSES),
-        enumeration=_env_int("COMPLIMITS_ENUM_BUDGET", _DEFAULT_ENUMERATION),
-    )
+def enumeration_budget() -> int:
+    """Largest number of paths an exact Markov spectrum may enumerate."""
+    return _env_int("COMPLIMITS_ENUM_BUDGET", 20_000)

@@ -27,10 +27,8 @@ from .errors import (
     BudgetExceededError,
     CompLimitsError,
     ConfigurationError,
-    ConvergenceError,
     DistributionError,
     StructuralError,
-    UnsupportedSpectrumError,
 )
 from .optcode import R_star, length_distribution, prefix_epsilon_curve, rate_on_curve
 from .sources import (
@@ -394,10 +392,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         _emit_error(exc, EXIT_BUDGET)
         return EXIT_BUDGET
-    except (UnsupportedSpectrumError, ConvergenceError, ValueError) as exc:
-        _emit_error(exc, EXIT_NUMERIC)
-        return EXIT_NUMERIC
-    except CompLimitsError as exc:
+    except (CompLimitsError, ValueError) as exc:
         _emit_error(exc, EXIT_NUMERIC)
         return EXIT_NUMERIC
 

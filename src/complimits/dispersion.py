@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .bounds import gaussian_Q_inv
-from .budgets import Budgets, default_budgets
 from .errors import BudgetExceededError
 from .optcode import R_star, length_distribution
 from .spectrum import (
@@ -64,7 +63,7 @@ class DispersionTrace:
     complete: bool
 
 
-def exact_spectrum(source: SourceSpec, n: int, budget: Budgets | None = None) -> InformationSpectrum:
+def exact_spectrum(source: SourceSpec, n: int) -> InformationSpectrum:
     """Exact blocklength-n spectrum of a memoryless or Markov source.
 
     Geometric and Poisson laws arrive already truncated.  It lives here, not
@@ -72,15 +71,14 @@ def exact_spectrum(source: SourceSpec, n: int, budget: Budgets | None = None) ->
     cross a module boundary, and the constructor calls made from here do.
     """
     if isinstance(source, MarkovSource):
-        return markov_spectrum_exact(source, n, budget)
-    return iid_spectrum(source, n, budget)
+        return markov_spectrum_exact(source, n)
+    return iid_spectrum(source, n)
 
 
 def exact_sweep(
     source: SourceSpec,
     n_list: Iterable[int],
     per_spectrum: Callable[[InformationSpectrum], list],
-    budget: Budgets | None = None,
 ) -> tuple[list, dict]:
     """Rows ``per_spectrum(spec)`` over the exact spectra at ``n_list``, in
     order, and a marker for the output sidecar.
@@ -90,11 +88,10 @@ def exact_sweep(
     first blocklength already does, the constructor's error (and its
     suggestion) propagates.
     """
-    budget = budget or default_budgets()
     rows = []
     for i, n in enumerate(n_list):
         try:
-            spec = exact_spectrum(source, n, budget)
+            spec = exact_spectrum(source, n)
         except BudgetExceededError as exc:
             if i == 0:
                 raise
@@ -103,11 +100,7 @@ def exact_sweep(
     return rows, {}
 
 
-def dispersion_estimate(
-    source: SourceSpec,
-    n_list: Sequence[int],
-    budget: Budgets | None = None,
-) -> DispersionTrace:
+def dispersion_estimate(source: SourceSpec, n_list: Sequence[int]) -> DispersionTrace:
     """Trace Var(len)/n toward the varentropy rate over the given blocklengths."""
     sigma2 = markov_varentropy_rate(source) if isinstance(source, MarkovSource) else varentropy(source)
 
@@ -115,7 +108,7 @@ def dispersion_estimate(
         lengths, n = length_distribution(spec), spec.n
         return [(n, lengths.variance() / n, var_info(spec) / n, lengths.gap2 / n)]
 
-    rows, marker = exact_sweep(source, n_list, per_spectrum, budget)
+    rows, marker = exact_sweep(source, n_list, per_spectrum)
     columns = tuple(zip(*rows)) or ((),) * 4
     return DispersionTrace(*columns, sigma2, not marker)
 
@@ -136,14 +129,12 @@ def rd_characterization_check(
     source: SourceSpec,
     eps_list: Sequence[float],
     n_list: Sequence[int],
-    budget: Budgets | None = None,
 ) -> list[dict]:
     """Convergence table of n ((R_star - H)/Q^-1(eps))^2 toward sigma^2.
 
     Diagnostic only: the log-blocklength bias in R_star is still visible at
     desk-scale n, so entries approach sigma^2 slowly from below.
     """
-    budget = budget or default_budgets()
     if isinstance(source, MarkovSource):
         h, sigma2 = markov_entropy_rate(source), markov_varentropy_rate(source)
     else:
@@ -152,7 +143,7 @@ def rd_characterization_check(
         raise ValueError("characterization requires nonzero varentropy")
     rows = []
     for n in n_list:
-        spec = exact_spectrum(source, n, budget)
+        spec = exact_spectrum(source, n)
         for eps in eps_list:
             lam = gaussian_Q_inv(eps)
             value = n * ((R_star(spec, eps) - h) / lam) ** 2

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -199,12 +200,8 @@ def third_abs_moment(dist: FiniteDistribution) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _period_and_connectivity(adj: np.ndarray) -> tuple[bool, int]:
-    """(strongly_connected, period) of the directed graph with adjacency adj.
-
-    Period is the gcd of d(u) + 1 - d(v) over edges u -> v, with d a BFS
-    distance labelling from state 0; meaningful only when strongly connected.
-    """
+def _strongly_connected(adj: np.ndarray) -> bool:
+    """Whether every state reaches every other in the directed graph with adjacency adj."""
     m = adj.shape[0]
 
     def reach(a: np.ndarray) -> bool:
@@ -219,25 +216,7 @@ def _period_and_connectivity(adj: np.ndarray) -> tuple[bool, int]:
                     stack.append(int(v))
         return bool(seen.all())
 
-    if not (reach(adj) and reach(adj.T)):
-        return False, 0
-
-    dist = np.full(m, -1, dtype=np.int64)
-    dist[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(adj[u])[0]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    g = 0
-    for u in range(m):
-        for v in np.nonzero(adj[u])[0]:
-            g = math.gcd(g, int(dist[u]) + 1 - int(dist[v]))
-    return True, abs(g) if g else 1
+    return reach(adj) and reach(adj.T)
 
 
 @dataclass(frozen=True)
@@ -246,10 +225,13 @@ class MarkovSource:
 
     A chain of order k >= 2 is represented in the usual first-order form on
     the expanded state alphabet of k-blocks; ``order`` is bookkeeping only.
-    The kernel must be row-stochastic within 1e-12 and irreducible.  The
-    period is computed at construction; operations that genuinely require
-    aperiodicity check ``period == 1`` themselves, because several useful
-    degenerate examples (deterministic cycles) are periodic.
+    The kernel must be row-stochastic within 1e-12 and irreducible; periodic
+    chains (deterministic cycles, say) are allowed.
+
+    The chain owns the two tables that its rates, spectra and sampler read:
+    the stationary law ``pi``, solved once on first use, and the
+    per-transition surprisal table ``surprisal``.  Both are read-only and
+    cached on the instance.
 
     ``initial=None`` selects the stationary law.
     """
@@ -258,7 +240,6 @@ class MarkovSource:
     initial: FiniteDistribution | None = None
     order: int = 1
     states: tuple = ()
-    period: int = field(init=False, default=1)
 
     def __post_init__(self):
         kern = np.array(self.kernel, dtype=np.float64)
@@ -271,12 +252,10 @@ class MarkovSource:
         rows = kern.sum(axis=1)
         if np.any(np.abs(rows - 1.0) > ROW_SUM_TOL):
             raise StructuralError("kernel rows must sum to 1 within 1e-12")
-        connected, period = _period_and_connectivity(kern > 0.0)
-        if not connected:
+        if not _strongly_connected(kern > 0.0):
             raise StructuralError("chain is reducible (state graph not strongly connected)")
         kern.setflags(write=False)
         object.__setattr__(self, "kernel", kern)
-        object.__setattr__(self, "period", period)
         states = self.states if self.states else tuple(range(kern.shape[0]))
         if len(states) != kern.shape[0]:
             raise StructuralError("states must label every row of the kernel")
@@ -285,27 +264,34 @@ class MarkovSource:
             for s in self.initial.symbols:
                 if s not in states:
                     raise StructuralError(f"initial law names unknown state {s!r}")
-        # the initial vector is resolved lazily by initial_vector(), then cached
-        object.__setattr__(self, "_init_vec", None)
 
     @property
     def n_states(self) -> int:
         return self.kernel.shape[0]
 
+    @cached_property
+    def pi(self) -> np.ndarray:
+        """Stationary law, pi P = pi (read-only)."""
+        pi = _stationary_vector(self.kernel)
+        pi.setflags(write=False)
+        return pi
+
+    @cached_property
+    def surprisal(self) -> np.ndarray:
+        """Transition surprisal log2(1/P(s'|s)), 0 where s -> s' is impossible (read-only)."""
+        kern = self.kernel
+        f = np.where(kern > 0.0, -np.log2(np.where(kern > 0.0, kern, 1.0)), 0.0)
+        f.setflags(write=False)
+        return f
+
     def initial_vector(self) -> np.ndarray:
         """Initial state probabilities, defaulting to the stationary law."""
-        cached = getattr(self, "_init_vec")
-        if cached is not None:
-            return cached
         if self.initial is None:
-            vec = _stationary_vector(self.kernel)
-        else:
-            lookup = {s: i for i, s in enumerate(self.states)}
-            vec = np.zeros(self.n_states)
-            for s, p in zip(self.initial.symbols, self.initial.probs):
-                vec[lookup[s]] = p
-        vec.setflags(write=False)
-        object.__setattr__(self, "_init_vec", vec)
+            return self.pi
+        lookup = {s: i for i, s in enumerate(self.states)}
+        vec = np.zeros(self.n_states)
+        for s, p in zip(self.initial.symbols, self.initial.probs):
+            vec[lookup[s]] = p
         return vec
 
 
@@ -341,18 +327,12 @@ def _stationary_vector(kernel: np.ndarray, tol: float = 1e-15, max_iter: int = 5
 
 def stationary_distribution(src: MarkovSource) -> FiniteDistribution:
     """Unique stationary law of an irreducible chain, pi with pi P = pi."""
-    pi = _stationary_vector(src.kernel)
-    return FiniteDistribution(tuple(src.states), tuple(pi))
+    return FiniteDistribution(tuple(src.states), tuple(src.pi))
 
 
 def markov_entropy_rate(src: MarkovSource) -> float:
     """Entropy rate H = sum_s pi(s) H(row_s) in bits per step."""
-    pi = _stationary_vector(src.kernel)
-    total = []
-    for i in range(src.n_states):
-        row = src.kernel[i]
-        total.append(pi[i] * math.fsum(-p * math.log2(p) for p in row if p > 0.0))
-    return math.fsum(total)
+    return float(src.pi @ (src.kernel * src.surprisal).sum(axis=1))
 
 
 def markov_varentropy_rate(src: MarkovSource) -> float:
@@ -369,10 +349,7 @@ def markov_varentropy_rate(src: MarkovSource) -> float:
     Markov Chains*): sigma^2 = Var(f) + 2 w . Z (u - H).  One linear solve,
     no truncation; on periodic chains Z gives the Cesaro sum of the series.
     """
-    kern = src.kernel
-    pi = _stationary_vector(kern)
-    with np.errstate(divide="ignore"):
-        f = np.where(kern > 0.0, -np.log2(np.where(kern > 0.0, kern, 1.0)), 0.0)
+    kern, pi, f = src.kernel, src.pi, src.surprisal
     u = (kern * f).sum(axis=1)  # expected next-step surprisal from each state
     h = float(pi @ u)
     var0 = float(pi @ (kern * (f - h) ** 2).sum(axis=1))

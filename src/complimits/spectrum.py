@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ._kernels import initial_step, markov_step
-from .budgets import Budgets, default_budgets
+from .budgets import enumeration_budget, type_class_budget
 from .errors import BudgetExceededError, DistributionError, UnsupportedSpectrumError
 from .sources import FiniteDistribution, MarkovSource
 
@@ -223,7 +223,7 @@ def _multinomial(n: int, counts: Sequence[int]) -> int:
     return coeff
 
 
-def iid_spectrum(dist: FiniteDistribution, n: int, budget: Budgets | None = None) -> InformationSpectrum:
+def iid_spectrum(dist: FiniteDistribution, n: int) -> InformationSpectrum:
     """Exact spectrum of n independent draws from ``dist``.
 
     One mass per type class: a class with symbol counts (n_a) has surprisal
@@ -233,12 +233,12 @@ def iid_spectrum(dist: FiniteDistribution, n: int, budget: Budgets | None = None
     """
     if n < 1:
         raise ValueError("blocklength must be at least 1")
-    budget = budget or default_budgets()
     m = len(dist)
     n_classes = math.comb(n + m - 1, m - 1)
-    if n_classes > budget.type_classes:
+    budget = type_class_budget()
+    if n_classes > budget:
         raise BudgetExceededError(
-            f"{n_classes} type classes exceed budget {budget.type_classes}",
+            f"{n_classes} type classes exceed budget {budget}",
             suggestion="raise COMPLIMITS_TYPE_CLASS_BUDGET or shorten the blocklength range",
         )
     iotas = [0.0 - math.log2(p) for p in dist.probs]  # 0.0 - x, not -x: a certain symbol costs +0.0 bits
@@ -262,7 +262,7 @@ def iid_spectrum(dist: FiniteDistribution, n: int, budget: Budgets | None = None
     return _finish(infos, probs, counts, n)
 
 
-def markov_spectrum_exact(src: MarkovSource, n: int, budget: Budgets | None = None) -> InformationSpectrum:
+def markov_spectrum_exact(src: MarkovSource, n: int) -> InformationSpectrum:
     """Exact spectrum of n steps of a Markov chain by full path enumeration.
 
     The surprisal of a path accumulates the initial-state surprisal plus one
@@ -271,11 +271,11 @@ def markov_spectrum_exact(src: MarkovSource, n: int, budget: Budgets | None = No
     """
     if n < 1:
         raise ValueError("blocklength must be at least 1")
-    budget = budget or default_budgets()
     m = src.n_states
-    if m ** n > budget.enumeration:
+    budget = enumeration_budget()
+    if m ** n > budget:
         raise BudgetExceededError(
-            f"{m}^{n} strings exceed enumeration budget {budget.enumeration}",
+            f"{m}^{n} strings exceed enumeration budget {budget}",
             suggestion="raise COMPLIMITS_ENUM_BUDGET or sample with markov_spectrum_mc",
         )
     kern = src.kernel
@@ -308,28 +308,19 @@ def markov_spectrum_mc(src: MarkovSource, n: int, samples: int, seed: int) -> In
         raise ValueError("blocklength must be at least 1")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    kern = src.kernel
     init = src.initial_vector()
-
-    cum_rows = np.cumsum(kern, axis=1)
+    cum_rows = np.cumsum(src.kernel, axis=1)
     cum_rows[:, -1] = 1.0
-    with np.errstate(divide="ignore"):
-        info_rows = np.where(kern > 0.0, -np.log2(np.where(kern > 0.0, kern, 1.0)), 0.0)
     init_cum = np.cumsum(init)
     init_cum[-1] = 1.0
     init_info = np.where(init > 0.0, -np.log2(np.where(init > 0.0, init, 1.0)), 0.0)
-
-    cum_rows = np.ascontiguousarray(cum_rows)
-    info_rows = np.ascontiguousarray(info_rows)
-    init_cum = np.ascontiguousarray(init_cum)
-    init_info = np.ascontiguousarray(init_info)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     states = np.empty(samples, dtype=np.int64)
     acc = np.zeros(samples, dtype=np.float64)
     initial_step(rng.random(samples), init_cum, init_info, states, acc)
     for _ in range(n - 1):
-        markov_step(rng.random(samples), cum_rows, info_rows, states, acc)
+        markov_step(rng.random(samples), cum_rows, src.surprisal, states, acc)
 
     values, multiplicity = np.unique(acc, return_counts=True)
     probs = multiplicity / float(samples)

@@ -12,7 +12,7 @@ from complimits.binning import (
     binning_error_exact,
     binning_error_mc,
     mass_profile,
-    _success_factor,
+    _error_factor,
 )
 
 from _oracles import (
@@ -94,19 +94,20 @@ class TestExactFormula:
             assert err < 0.05
 
     def test_closed_form_matches_direct_sum(self):
-        # against the exact Fraction direct sum, including bin counts where
-        # 1 - q^J would cancel if q^J were formed first
+        # the error side against 1 - the exact Fraction direct sum, including
+        # bin counts where 1 - q^J, or 1 - the success factor, would cancel
         for n_bins in (1, 2, 3, 17, 10**6, 2**40):
             for m_heavier in (0, 5, 1000):
                 for j in (1, 2, 10, 40, 64, 100):
-                    exact = float(exact_success_factor(n_bins, j, m_heavier))
-                    assert _success_factor(n_bins, j, m_heavier) == pytest.approx(exact, rel=1e-12)
+                    exact = float(1 - exact_success_factor(n_bins, j, m_heavier))
+                    assert _error_factor(n_bins, j, m_heavier) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_closed_form_large_class(self):
-        # the direct sum, taken through logs, stays tractable at J = 10^4 and must agree
+        # the direct sum, taken through logs, stays tractable at J = 10^4 and
+        # must agree; its success factor is about 2e-5, so 1 - it cancels nothing
         direct = log_space_success_factor(3, 10_000, 7)
-        closed = _success_factor(3, 10_000, 7)
-        assert closed == pytest.approx(direct, rel=1e-12)
+        closed = _error_factor(3, 10_000, 7)
+        assert closed == pytest.approx(1.0 - direct, rel=1e-12)
 
     def test_counts_beyond_double_range(self):
         # at n = 1100 class sizes and heavier counts pass 2^1024; the success

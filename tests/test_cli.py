@@ -143,12 +143,12 @@ class TestSubcommands:
         # 100 equiprobable strings form one class of mass 1, so the exact
         # error is 1 - the class's success factor
         src = json.dumps({"type": "memoryless", "probs": [0.01] * 100})
-        bins = (10**6, 2**40)
+        bins = (10**6, 2**40, 2**53, 2**63)
         assert run_cli(["binning", "--source", src, "--bins", *map(str, bins), "--trials", "1"]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
         for n_bins, row in zip(bins, rows):
             exact = float(1 - exact_success_factor(n_bins, 100, 0))
-            assert float(row[1]) == pytest.approx(exact, rel=1e-9)
+            assert float(row[1]) == pytest.approx(exact, rel=1e-9, abs=0.0)
 
     def test_limits_columns(self, capsys):
         run_cli(["limits", "--source", B11_SRC, "--n-min", "2", "--n-max", "3", "--eps", "0.1", "0.2"])

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from complimits import sources
+from complimits.bounds import GaussianParams
+from complimits.dispersion import dispersion_estimate
 from complimits.errors import DistributionError, StructuralError
+from complimits.spectrum import markov_spectrum_mc
 from complimits.sources import (
     FiniteDistribution,
     MarkovSource,
@@ -146,11 +150,7 @@ class TestMarkovStructure:
 
     def test_periodic_allowed_with_flag(self):
         cyc = MarkovSource(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert cyc.period == 2
-
-    def test_aperiodic_flag(self):
-        src = MarkovSource(np.array([[0.9, 0.1], [0.2, 0.8]]))
-        assert src.period == 1
+        assert tuple(cyc.pi) == pytest.approx((0.5, 0.5), abs=1e-15)
 
     def test_initial_law_on_unknown_state_rejected(self):
         initial = FiniteDistribution.from_probs((0.5, 0.5), symbols=("a", "b"))
@@ -180,6 +180,40 @@ class TestStationary:
         src = MarkovSource(kern)
         pi = np.asarray(stationary_distribution(src).probs)
         assert float(np.abs(pi @ kern - pi).sum()) < 1e-12
+
+
+class TestChainTables:
+    def test_stationary_law_solved_once_per_chain(self, monkeypatch):
+        calls = []
+        solve = sources._stationary_vector
+        monkeypatch.setattr(sources, "_stationary_vector", lambda kern: calls.append(1) or solve(kern))
+        src = MarkovSource(np.array([[0.9, 0.1], [0.2, 0.8]]))
+        GaussianParams.from_markov(src)
+        dispersion_estimate(src, [4, 8, 12])
+        markov_spectrum_mc(src, 20, 100, seed=0)
+        assert len(calls) == 1
+
+    def test_tables_are_read_only(self):
+        src = MarkovSource(np.array([[0.9, 0.1], [0.2, 0.8]]))
+        for table in (src.pi, src.surprisal):
+            with pytest.raises(ValueError):
+                table[0] = 0.5
+
+    def test_surprisal_zero_off_support(self):
+        kern = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.25, 0.0, 0.75]])
+        f = MarkovSource(kern).surprisal
+        assert f[kern == 0.0].tolist() == [0.0] * 4
+        assert f[kern > 0.0] == pytest.approx(-np.log2(kern[kern > 0.0]), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_entropy_rate_matches_fsum_oracle(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(10):
+            src = MarkovSource(rng.dirichlet(np.ones(m), size=m))
+            oracle = math.fsum(
+                src.pi[i] * math.fsum(-p * math.log2(p) for p in row) for i, row in enumerate(src.kernel.tolist())
+            )
+            assert markov_entropy_rate(src) == pytest.approx(oracle, rel=1e-15, abs=0.0)
 
 
 class TestEntropyRate:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complimits.budgets import Budgets
 from complimits.errors import BudgetExceededError, UnsupportedSpectrumError
 from complimits.sources import (
     FiniteDistribution,
@@ -182,10 +181,11 @@ class TestIidSpectrum:
         assert len(groups) == len(s)
         assert [g[1] for g in groups] == list(s.counts)
 
-    def test_budget_exceeded_suggests_raising_budget(self):
+    def test_budget_exceeded_suggests_raising_budget(self, monkeypatch):
+        monkeypatch.setenv("COMPLIMITS_TYPE_CLASS_BUDGET", "1000")
         d = FiniteDistribution.from_probs((0.25,) * 4)
         with pytest.raises(BudgetExceededError) as err:
-            iid_spectrum(d, 500, Budgets(type_classes=1000))
+            iid_spectrum(d, 500)
         assert "COMPLIMITS_TYPE_CLASS_BUDGET" in err.value.suggestion
         assert "markov_spectrum_mc" not in err.value.suggestion  # sampling takes Markov sources only
 
