@@ -10,25 +10,26 @@ third absolute central moment mu3):
   valid respectively for all n and for n above an explicit threshold,
 - the classical four-term expansion (shipped as a labelled reference curve
   only: its derivation is contested and no validity check is attempted),
-- Markov-chain bounds parameterized by a Berry-Esseen constant that theory
-  does not make explicit, plus a Monte-Carlo calibrator for it,
+- Markov-chain bounds that take as an argument a Berry-Esseen constant A
+  that theory does not make explicit, plus a Monte-Carlo calibrator for A,
 - blocklength requirements n_star (approximate and exact).
 
-Bound values are evaluated in double precision; when a stated validity
-domain is violated the value is still reported with ``valid=False`` so
-sweeps can plot it.
+Each Gaussian bound checks its inputs once, in :func:`_lam`: positive
+varentropy and eps inside the bound's domain.  Bound values are evaluated in
+double precision; when a stated validity condition fails the value is still
+reported with ``valid=False`` so sweeps can plot it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
 from .optcode import R_star
 from .spectrum import InformationSpectrum, ccdf, markov_spectrum_mc
 from .sources import (
@@ -104,17 +105,11 @@ def gaussian_Q_inv(p: float) -> float:
 
 @dataclass(frozen=True)
 class GaussianParams:
-    """Surprisal moments feeding the bounds.
-
-    ``be_constant`` is the Berry-Esseen constant of the Markov bounds; theory
-    guarantees it exists but not its value, so it is a configuration input
-    (see :func:`markov_be_calibrate`).
-    """
+    """Surprisal moments feeding the bounds."""
 
     H: float
     sigma2: float
     mu3: float
-    be_constant: float | None = None
 
     def __post_init__(self):
         if self.sigma2 < 0.0 or self.mu3 < 0.0:
@@ -125,18 +120,13 @@ class GaussianParams:
         return math.sqrt(self.sigma2)
 
     @classmethod
-    def from_distribution(cls, dist: FiniteDistribution, be_constant: float | None = None) -> "GaussianParams":
-        return cls(H=entropy(dist), sigma2=varentropy(dist), mu3=third_abs_moment(dist), be_constant=be_constant)
+    def from_distribution(cls, dist: FiniteDistribution) -> "GaussianParams":
+        return cls(H=entropy(dist), sigma2=varentropy(dist), mu3=third_abs_moment(dist))
 
     @classmethod
-    def from_markov(cls, src: MarkovSource, be_constant: float | None = None) -> "GaussianParams":
+    def from_markov(cls, src: MarkovSource) -> "GaussianParams":
         # mu3 has no role in the Markov bounds; it is set to zero here
-        return cls(
-            H=markov_entropy_rate(src),
-            sigma2=markov_varentropy_rate(src),
-            mu3=0.0,
-            be_constant=be_constant,
-        )
+        return cls(H=markov_entropy_rate(src), sigma2=markov_varentropy_rate(src), mu3=0.0)
 
 
 @dataclass(frozen=True)
@@ -144,20 +134,29 @@ class BoundReport:
     """A bound value plus its validity verdict.
 
     ``value`` is kept even when ``valid`` is False so that sweeps can plot
-    the curve; ``validity_condition`` states the domain in words and ``n0``
-    carries the numeric threshold when there is one.
+    the curve; ``n0`` carries the blocklength threshold when there is one.
+    Each bound's docstring states its validity condition.
     """
 
     value: float
-    kind: str  # achievability | converse | approximation
     valid: bool
-    validity_condition: str
     n0: float | None = None
 
 
-def _require_sigma(params: GaussianParams) -> None:
+def _lam(params: GaussianParams, eps: float, high: float = 0.5, closed: bool = False) -> float:
+    """Q^-1(eps), once sigma^2 > 0 and eps lies in (0, high), or (0, high] if ``closed``."""
     if params.sigma2 <= 0.0:
         raise ValueError("bound requires strictly positive varentropy")
+    if not (0.0 < eps <= high if closed else 0.0 < eps < high):
+        raise ValueError(f"eps must lie in (0, {high:g}{']' if closed else ')'}")
+    return gaussian_Q_inv(eps)
+
+
+def _gauss3(params: GaussianParams, n: int, lam: float) -> float:
+    """H + sigma lam/sqrt(n) - log2(n)/(2n), the three-term approximation at lam = Q^-1(eps)."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return params.H + params.sigma * lam / math.sqrt(n) - math.log2(n) / (2.0 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +176,7 @@ def R_upper_quantile(spec: InformationSpectrum, eps: float) -> BoundReport:
     # the surprisal value just before it (the largest with tail above eps)
     i0 = int(np.searchsorted(-suffixes, -eps, side="left"))
     idx = i0 - 1 if i0 > 0 else 0
-    value = float(spec.infos[idx]) / spec.n
-    return BoundReport(value, "achievability", True, "always valid")
+    return BoundReport(float(spec.infos[idx]) / spec.n, True)
 
 
 def converse_optimized(spec: InformationSpectrum, k: int) -> BoundReport:
@@ -191,18 +189,11 @@ def converse_optimized(spec: InformationSpectrum, k: int) -> BoundReport:
     if k < 0:
         raise ValueError("k must be nonnegative")
     taus = [float(v) - k for v in spec.infos if float(v) > k]
-    tau = 2.0 ** -6
-    while tau <= max(spec.n, 1):
-        taus.append(tau)
-        tau *= 2.0
+    taus += [2.0 ** j for j in range(-6, max(spec.n, 1).bit_length())]  # 2^-6 .. max(n, 1)
     best = 0.0
-    for t in taus:
-        if t <= 0.0:
-            continue
-        val = ccdf(spec, k + t) - 2.0 ** (-t)
-        if val > best:
-            best = val
-    return BoundReport(best, "converse", True, "always valid (free parameter maximized)")
+    for t in taus:  # every tau is positive: surprisal offsets above k, then the grid
+        best = max(best, ccdf(spec, k + t) - 2.0 ** (-t))
+    return BoundReport(best, True)
 
 
 def codelength_vs_info_check(
@@ -224,18 +215,9 @@ def codelength_vs_info_check(
         kraft = math.fsum(2.0 ** -l for l in lengths)
         if kraft > 1.0 + 1e-12:
             raise ValueError(f"not a prefix code: Kraft sum {kraft}")
-    left_terms = []
-    for p, l in zip(dist.probs, lengths):
-        iota = -math.log2(p)
-        hit = (l < iota - tau) if prefix else (l <= iota - tau)
-        if hit:
-            left_terms.append(p)
-    left = math.fsum(left_terms)
-    if prefix:
-        right = 2.0 ** (-tau)
-    else:
-        right = 2.0 ** (-tau) * (math.floor(math.log2(len(dist))) + 1 if len(dist) > 1 else 1)
-    return left, right
+    undershoots = operator.lt if prefix else operator.le
+    left = math.fsum(p for p, l in zip(dist.probs, lengths) if undershoots(l, -math.log2(p) - tau))
+    return left, (2.0 ** (-tau) if prefix else 2.0 ** (-tau) * len(dist).bit_length())
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +226,8 @@ def codelength_vs_info_check(
 
 
 def approx_Rstar(params: GaussianParams, n: int, eps: float) -> float:
-    """Three-term Gaussian approximation H + sigma Q^-1(eps)/sqrt(n) - log2(n)/(2n)."""
-    _require_sigma(params)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    return params.H + params.sigma * gaussian_Q_inv(eps) / math.sqrt(n) - math.log2(n) / (2.0 * n)
+    """Three-term Gaussian approximation H + sigma Q^-1(eps)/sqrt(n) - log2(n)/(2n), eps in (0, 1)."""
+    return _gauss3(params, n, _lam(params, eps, high=1.0))
 
 
 def achievability_iid(params: GaussianParams, n: int, eps: float) -> BoundReport:
@@ -260,24 +237,20 @@ def achievability_iid(params: GaussianParams, n: int, eps: float) -> BoundReport
     log2(log2(e)/sqrt(2 pi sigma^2) + mu3/sigma^3) and
     mu3 / (sigma^2 phi(Phi^-1(Phi(Q^-1(eps)) + mu3/(sigma^3 sqrt(n))))).
     The inner Phi^-1 argument must stay below 1; if the moment ratio pushes
-    it to 1 at small n the bound is vacuous and reported invalid.
+    it to 1 at small n the bound is vacuous and reported invalid.  eps in (0, 1/2].
     """
-    _require_sigma(params)
-    if not 0.0 < eps <= 0.5:
-        raise ValueError("eps must lie in (0, 1/2]")
-    lam = gaussian_Q_inv(eps)
+    lam = _lam(params, eps, closed=True)
     sigma = params.sigma
-    base = approx_Rstar(params, n, eps)
+    base = _gauss3(params, n, lam)
     log_term = math.log2(LOG2E / math.sqrt(2.0 * math.pi * params.sigma2) + params.mu3 / sigma ** 3) / n
     inner = gaussian_Phi(lam) + params.mu3 / (sigma ** 3 * math.sqrt(n))
-    condition = "requires Phi(Q^-1(eps)) + mu3/(sigma^3 sqrt(n)) < 1"
     if inner >= 1.0:
-        return BoundReport(math.inf, "achievability", False, condition)
+        return BoundReport(math.inf, False)
     if params.mu3 == 0.0:
         correction = 0.0
     else:
         correction = params.mu3 / (params.sigma2 * gaussian_phi(_STD_NORMAL.inv_cdf(inner))) / n
-    return BoundReport(base + log_term + correction, "achievability", True, condition)
+    return BoundReport(base + log_term + correction, True)
 
 
 def converse_iid(params: GaussianParams, n: int, eps: float) -> BoundReport:
@@ -286,16 +259,13 @@ def converse_iid(params: GaussianParams, n: int, eps: float) -> BoundReport:
     Value: H + sigma Q^-1(eps)/sqrt(n) - log2(n)/(2n)
            - (mu3/2 + sigma^3)/(n sigma^2 phi(Q^-1(eps))),
     valid when n exceeds
-    n0 = (1 + mu3/(2 sigma^3))^2 / (2 phi(Q^-1(eps)) Q^-1(eps))^2.
+    n0 = (1 + mu3/(2 sigma^3))^2 / (2 phi(Q^-1(eps)) Q^-1(eps))^2.  eps in (0, 1/2).
     """
-    _require_sigma(params)
-    if not 0.0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 1/2)")
-    lam = gaussian_Q_inv(eps)
+    lam = _lam(params, eps)
     sigma = params.sigma
     n0 = 0.25 * (1.0 + params.mu3 / (2.0 * sigma ** 3)) ** 2 / (gaussian_phi(lam) * lam) ** 2
-    value = approx_Rstar(params, n, eps) - (params.mu3 / 2.0 + sigma ** 3) / (n * params.sigma2 * gaussian_phi(lam))
-    return BoundReport(value, "converse", n > n0, f"requires n > {n0:.6g}", n0=n0)
+    value = _gauss3(params, n, lam) - (params.mu3 / 2.0 + sigma ** 3) / (n * params.sigma2 * gaussian_phi(lam))
+    return BoundReport(value, n > n0, n0=n0)
 
 
 def reference_expansion(params: GaussianParams, n: int, eps: float) -> float:
@@ -303,10 +273,9 @@ def reference_expansion(params: GaussianParams, n: int, eps: float) -> float:
 
     H + sigma Q^-1(eps)/sqrt(n) - log2(2 pi sigma^2 n e^(Q^-1(eps)^2))/(2n)
       + mu3 (Q^-1(eps)^2 - 1)/(6 sigma^2 n).
-    The non-lattice assumption behind it is deliberately not checked.
+    The non-lattice assumption behind it is deliberately not checked.  eps in (0, 1).
     """
-    _require_sigma(params)
-    lam = gaussian_Q_inv(eps)
+    lam = _lam(params, eps, high=1.0)
     return (
         params.H
         + params.sigma * lam / math.sqrt(n)
@@ -320,46 +289,32 @@ def reference_expansion(params: GaussianParams, n: int, eps: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _require_be(params: GaussianParams) -> float:
-    if params.be_constant is None:
-        raise ConfigurationError("Markov bounds need GaussianParams.be_constant (calibrate or configure)")
-    return float(params.be_constant)
-
-
-def markov_achievability(params: GaussianParams, n: int, eps: float) -> BoundReport:
+def markov_achievability(params: GaussianParams, n: int, eps: float, a_const: float) -> BoundReport:
     """Upper bound n R_star <= n H + sigma sqrt(n) Q^-1(eps) + C for chains.
 
     C = 2 A sigma / phi(Q^-1(eps)), valid once n >= 8 A^2/(pi e phi(Q^-1(eps))^4),
-    where A is the configured Berry-Esseen constant.
+    where A = ``a_const`` is the chain's Berry-Esseen constant (theory proves
+    it exists but gives no value; see :func:`markov_be_calibrate`).  eps in (0, 1/2).
     """
-    _require_sigma(params)
-    if not 0.0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 1/2)")
-    a_const = _require_be(params)
-    lam = gaussian_Q_inv(eps)
+    lam = _lam(params, eps)
     density = gaussian_phi(lam)
     c_const = 2.0 * a_const * params.sigma / density
     n_min = 8.0 * a_const ** 2 / (math.pi * math.e * density ** 4)
     value = params.H + params.sigma * lam / math.sqrt(n) + c_const / n
-    return BoundReport(value, "achievability", n >= n_min, f"requires n >= {n_min:.6g}", n0=n_min)
+    return BoundReport(value, n >= n_min, n0=n_min)
 
 
-def markov_converse(params: GaussianParams, n: int, eps: float) -> BoundReport:
+def markov_converse(params: GaussianParams, n: int, eps: float, a_const: float) -> BoundReport:
     """Lower bound n R_star >= n H + sigma sqrt(n) Q^-1(eps) - log2(n)/2 - C.
 
-    C = sigma (A + 1)/phi(Q^-1(eps)) + 1, valid once
-    n >= ((A + 1)/(Q^-1(eps) phi(Q^-1(eps))))^2.
+    C = sigma (A + 1)/phi(Q^-1(eps)) + 1 with A = ``a_const``, valid once
+    n >= ((A + 1)/(Q^-1(eps) phi(Q^-1(eps))))^2.  eps in (0, 1/2).
     """
-    _require_sigma(params)
-    if not 0.0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 1/2)")
-    a_const = _require_be(params)
-    lam = gaussian_Q_inv(eps)
+    lam = _lam(params, eps)
     density = gaussian_phi(lam)
     c_const = params.sigma * (a_const + 1.0) / density + 1.0
     n_min = ((a_const + 1.0) / (lam * density)) ** 2
-    value = approx_Rstar(params, n, eps) - c_const / n
-    return BoundReport(value, "converse", n >= n_min, f"requires n >= {n_min:.6g}", n0=n_min)
+    return BoundReport(_gauss3(params, n, lam) - c_const / n, n >= n_min, n0=n_min)
 
 
 @dataclass(frozen=True)
@@ -385,20 +340,18 @@ def markov_be_calibrate(
     is the one-sigma scale of the empirical-CCDF fluctuation, sqrt(n/samples)/2,
     at the largest n.  Deterministic for a fixed seed.
     """
-    sigma2 = markov_varentropy_rate(src)
-    if sigma2 <= 0.0:
+    params = GaussianParams.from_markov(src)
+    if params.sigma2 <= 0.0:
         raise ValueError("calibration requires strictly positive varentropy rate")
-    sigma = math.sqrt(sigma2)
-    rate = markov_entropy_rate(src)
     per_n = []
     for idx, n in enumerate(n_list):
         spec = markov_spectrum_mc(src, n, samples, seed + idx)
-        scale = sigma * math.sqrt(n)
+        infos, tail = spec.infos.tolist(), spec.suffix_probs.tolist()
+        scale = params.sigma * math.sqrt(n)
         sup = 0.0
-        for i in range(len(spec)):
-            z = (float(spec.infos[i]) - n * rate) / scale
-            q = gaussian_Q(z)
-            sup = max(sup, abs(float(spec.suffix_probs[i + 1]) - q), abs(float(spec.suffix_probs[i]) - q))
+        for i, info in enumerate(infos):
+            q = gaussian_Q((info - n * params.H) / scale)
+            sup = max(sup, abs(tail[i + 1] - q), abs(tail[i] - q))
         per_n.append(math.sqrt(n) * sup)
     error_bar = 0.5 * math.sqrt(max(n_list) / samples)
     return CalibrationResult(a_hat=max(per_n), error_bar=error_bar, per_n=tuple(per_n))
@@ -414,15 +367,13 @@ def n_star_approx(params: GaussianParams, rate: float, eps: float) -> int:
 
     Solving R_star ~ H + sigma Q^-1(eps)/sqrt(n) at rate = (1 + eta) H gives
     n ~ (sigma^2/H^2) (Q^-1(eps)/eta)^2, rounded up (at least 1).  Only
-    meaningful for rates above the entropy.
+    meaningful for rates above the entropy.  eps in (0, 1/2].
     """
-    _require_sigma(params)
-    if not 0.0 < eps <= 0.5:
-        raise ValueError("eps must lie in (0, 1/2]")
+    lam = _lam(params, eps, closed=True)
     if rate <= params.H:
         raise ValueError("no finite approximation: rate does not exceed the entropy rate")
     eta = rate / params.H - 1.0
-    value = (params.sigma2 / params.H ** 2) * (gaussian_Q_inv(eps) / eta) ** 2
+    value = (params.sigma2 / params.H ** 2) * (lam / eta) ** 2
     return max(1, math.ceil(value))
 
 
@@ -436,20 +387,14 @@ def n_star_exact(
     """Exact smallest n with R_star(n, eps) <= rate, oscillation-guarded.
 
     R_star is not monotone in n, so a single satisfying blocklength can be a
-    fluke dip; the first n opening a run of ``window`` consecutive satisfying
-    blocklengths is returned instead.
+    fluke dip; the first n opening a run of ``window`` >= 1 consecutive
+    satisfying blocklengths is returned instead.
     """
-    run_start = None
-    run_len = 0
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    run = 0
     for n in range(1, n_max + 1):
-        ok = R_star(spectrum_factory(n), eps) <= rate + 1e-12
-        if ok:
-            if run_start is None:
-                run_start = n
-            run_len += 1
-            if run_len >= window:
-                return run_start
-        else:
-            run_start = None
-            run_len = 0
+        run = run + 1 if R_star(spectrum_factory(n), eps) <= rate + 1e-12 else 0
+        if run == window:
+            return n - window + 1
     raise ValueError(f"no run of {window} satisfying blocklengths found below {n_max}")

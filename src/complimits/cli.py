@@ -361,17 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, source=False)
     p.set_defaults(func=_cmd_figure1)
 
-    p = sub.add_parser("figure2", help="exact rate vs approximations, long blocklengths")
-    common(p, source=False, n_range=True)
-    p.set_defaults(func=_cmd_rate_sweep, n_min=10, n_max=2000)
-    p.add_argument("--eps", type=_eps_level(1.0), default=0.1)
-    p.add_argument("--bias", type=float, default=0.11)
-
-    p = sub.add_parser("figure3", help="exact rate vs approximation, short blocklengths")
-    common(p, source=False, n_range=True)
-    p.set_defaults(func=_cmd_rate_sweep, n_min=10, n_max=200)
-    p.add_argument("--eps", type=_eps_level(1.0), default=0.1)
-    p.add_argument("--bias", type=float, default=0.11)
+    for name, help_text, n_max in (
+        ("figure2", "exact rate vs approximations, long blocklengths", 2000),
+        ("figure3", "exact rate vs approximation, short blocklengths", 200),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        common(p, source=False, n_range=True)
+        p.set_defaults(func=_cmd_rate_sweep, n_min=10, n_max=n_max)
+        p.add_argument("--eps", type=_eps_level(1.0), default=0.1)
+        p.add_argument("--bias", type=_eps_level(1.0), default=0.11, help="Bernoulli parameter in (0, 1)")
 
     p = sub.add_parser("figure4", help="normalized dispersion vs entropy for three families")
     common(p, source=False)

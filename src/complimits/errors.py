@@ -34,4 +34,4 @@ class ConvergenceError(CompLimitsError):
 
 
 class ConfigurationError(CompLimitsError):
-    """Missing or inconsistent configuration (e.g. unset Markov constant)."""
+    """Missing or inconsistent configuration (e.g. a bad command-line option)."""

@@ -224,7 +224,7 @@ class MarkovSource:
     """Finite-state Markov chain, one row of transition probabilities per state.
 
     A chain of order k >= 2 is represented in the usual first-order form on
-    the expanded state alphabet of k-blocks; ``order`` is bookkeeping only.
+    the expanded state alphabet of k-blocks.
     The kernel must be row-stochastic within 1e-12 and irreducible; periodic
     chains (deterministic cycles, say) are allowed.
 
@@ -238,15 +238,12 @@ class MarkovSource:
 
     kernel: np.ndarray
     initial: FiniteDistribution | None = None
-    order: int = 1
     states: tuple = ()
 
     def __post_init__(self):
         kern = np.array(self.kernel, dtype=np.float64)
         if kern.ndim != 2 or kern.shape[0] != kern.shape[1]:
             raise StructuralError("kernel must be a square matrix")
-        if self.order < 1:
-            raise StructuralError("order must be at least 1")
         if np.any(kern < 0.0) or not np.all(np.isfinite(kern)):
             raise StructuralError("kernel entries must be finite and nonnegative")
         rows = kern.sum(axis=1)
@@ -371,7 +368,7 @@ def load_source(doc: Union[str, dict]) -> SourceSpec:
     Accepted forms::
 
         {"type": "memoryless", "probs": [...], "symbols": [...]?}
-        {"type": "markov", "kernel": [[...]], "initial": [...]?, "order": k?}
+        {"type": "markov", "kernel": [[...]], "initial": [...]?, "states": [...]?}
         {"type": "geometric", "param": q, "tail_bound": t?}
         {"type": "poisson", "param": lam, "tail_bound": t?}
     """
@@ -394,7 +391,6 @@ def load_source(doc: Union[str, dict]) -> SourceSpec:
             return MarkovSource(
                 np.asarray(doc["kernel"], dtype=np.float64),
                 initial=initial,
-                order=int(doc.get("order", 1)),
                 states=tuple(doc["states"]) if doc.get("states") else (),
             )
         if kind == "geometric":

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from complimits.errors import ConfigurationError
 from complimits.sources import (
     FiniteDistribution,
     MarkovSource,
@@ -97,7 +96,7 @@ class TestUpperQuantile:
         s = iid_spectrum(B11, 2)
         report = R_upper_quantile(s, 0.1)
         assert report.value == pytest.approx(float(s.infos[1]) / 2, abs=1e-12)
-        assert report.valid and report.kind == "achievability"
+        assert report.valid
 
     def test_dominates_exact_rate(self):
         for n in (5, 17, 40):
@@ -281,45 +280,51 @@ class TestPrefixTransfer:
 
 
 class TestMarkovBounds:
-    def test_requires_constant(self):
-        with pytest.raises(ConfigurationError):
-            markov_achievability(P11, 100, 0.1)
-
     def test_small_constant_limit(self):
-        params = GaussianParams(H=P11.H, sigma2=P11.sigma2, mu3=0.0, be_constant=1e-12)
-        rep = markov_achievability(params, 100, 0.1)
+        rep = markov_achievability(P11, 100, 0.1, 1e-12)
         two_term = P11.H + P11.sigma * gaussian_Q_inv(0.1) / 10
         assert rep.value == pytest.approx(two_term, abs=1e-9)
 
     def test_validity_flip_threshold(self):
-        params = GaussianParams(H=P11.H, sigma2=P11.sigma2, mu3=0.0, be_constant=0.8)
         lam = gaussian_Q_inv(0.1)
         n_min = 8 * 0.8**2 / (math.pi * math.e * gaussian_phi(lam) ** 4)
         flip = math.ceil(n_min)
-        assert not markov_achievability(params, flip - 1, 0.1).valid
-        assert markov_achievability(params, flip, 0.1).valid
+        assert not markov_achievability(P11, flip - 1, 0.1, 0.8).valid
+        assert markov_achievability(P11, flip, 0.1, 0.8).valid
 
     def test_converse_below_achievability(self):
-        params = GaussianParams(H=P11.H, sigma2=P11.sigma2, mu3=0.0, be_constant=0.8)
         for n in (700, 2000, 10_000):
-            ach = markov_achievability(params, n, 0.1)
-            conv = markov_converse(params, n, 0.1)
+            ach = markov_achievability(P11, n, 0.1, 0.8)
+            conv = markov_converse(P11, n, 0.1, 0.8)
             assert ach.valid and conv.valid
             assert conv.value < ach.value
 
+    def test_converse_closed_form(self):
+        # H + sigma lam/sqrt(n) - log2(n)/(2n) - (sigma (A + 1)/phi(lam) + 1)/n
+        a, lam = 0.8, gaussian_Q_inv(0.1)
+        for n in (50, 700, 10_000):
+            want = (
+                P11.H
+                + P11.sigma * lam / math.sqrt(n)
+                - math.log2(n) / (2 * n)
+                - (P11.sigma * (a + 1) / gaussian_phi(lam) + 1) / n
+            )
+            rep = markov_converse(P11, n, 0.1, a)
+            assert rep.value == pytest.approx(want, rel=1e-14, abs=0.0)
+            assert rep.n0 == pytest.approx(((a + 1) / (lam * gaussian_phi(lam))) ** 2, rel=1e-14, abs=0.0)
+
     def test_eps_near_half_never_valid(self):
-        params = GaussianParams(H=P11.H, sigma2=P11.sigma2, mu3=0.0, be_constant=0.8)
         for n in (10, 10_000, 10**7):
-            assert not markov_converse(params, n, 0.4999).valid
+            assert not markov_converse(P11, n, 0.4999, 0.8).valid
 
     def test_calibrated_bounds_bracket_exact_small_n(self):
         src = iid_kernel(B11)
         cal = markov_be_calibrate(src, [16, 64], 50_000, seed=11)
-        params = GaussianParams(H=P11.H, sigma2=P11.sigma2, mu3=0.0, be_constant=cal.a_hat)
+        params = GaussianParams(H=P11.H, sigma2=P11.sigma2, mu3=0.0)
         for n in (8, 10, 12):
             exact = R_star(markov_spectrum_exact(src, n), 0.1)
-            assert markov_achievability(params, n, 0.1).value >= exact
-            assert markov_converse(params, n, 0.1).value <= exact
+            assert markov_achievability(params, n, 0.1, cal.a_hat).value >= exact
+            assert markov_converse(params, n, 0.1, cal.a_hat).value <= exact
 
 
 class TestCalibration:
@@ -367,3 +372,7 @@ class TestBlocklengthRequirement:
             runs = runs + 1 if ok else 0
             best = max(best, runs)
         assert best < 50  # no confirmed earlier run
+
+    def test_exact_search_rejects_empty_window(self):
+        with pytest.raises(ValueError):
+            n_star_exact(lambda n: iid_spectrum(B11, n), 0.55, 0.1, window=0)

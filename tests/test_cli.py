@@ -97,6 +97,16 @@ class TestExitCodes:
         assert err["error"] == "ConfigurationError"
         assert err["exit_code"] == 2
 
+    @pytest.mark.parametrize("command", ["figure2", "figure3"])
+    @pytest.mark.parametrize("bias", ["0", "1", "-0.1", "nan"])
+    def test_bias_outside_unit_interval_is_config_error(self, capsys, command, bias):
+        assert run_cli([command, "--n-min", "10", "--n-max", "11", "--bias", bias]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigurationError"
+
+    def test_fair_coin_bias_is_numeric_error(self, capsys):
+        # a valid source whose varentropy is zero: the Gaussian approximation is undefined
+        assert run_cli(["figure3", "--n-min", "10", "--n-max", "11", "--bias", "0.5"]) == 4
+
     def test_largest_bin_count_accepted(self, capsys):
         assert run_cli(["binning", "--source", B11_SRC, "--bins", str(2**63), "--trials", "1"]) == 0
 

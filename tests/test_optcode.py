@@ -127,7 +127,7 @@ class TestEpsilonStar:
     def test_power_of_two_alphabet_min_mass(self):
         # at k = n log2|A| exactly one string is left out: the least likely
         s = iid_spectrum(B11, 5)
-        assert epsilon_star(s, 5) == pytest.approx(0.11 ** 5, rel=1e-10)
+        assert epsilon_star(s, 5) == pytest.approx(0.11 ** 5, rel=1e-10, abs=0.0)
 
     def test_mc_spectrum_rejected(self):
         mc = markov_spectrum_mc(MarkovSource(np.array([[0.9, 0.1], [0.2, 0.8]])), 4, 100, 0)
