@@ -15,9 +15,9 @@ third absolute central moment mu3):
 - blocklength requirements n_star (approximate and exact).
 
 Each Gaussian bound checks its inputs once, in :func:`_lam`: positive
-varentropy and eps inside the bound's domain.  Bound values are evaluated in
-double precision; when a stated validity condition fails the value is still
-reported with ``valid=False`` so sweeps can plot it.
+varentropy, eps inside the bound's domain and n >= 1.  Bound values are
+evaluated in double precision; when a stated validity condition fails the
+value is still reported with ``valid=False`` so sweeps can plot it.
 """
 
 from __future__ import annotations
@@ -143,19 +143,19 @@ class BoundReport:
     n0: float | None = None
 
 
-def _lam(params: GaussianParams, eps: float, high: float = 0.5, closed: bool = False) -> float:
-    """Q^-1(eps), once sigma^2 > 0 and eps lies in (0, high), or (0, high] if ``closed``."""
+def _lam(params: GaussianParams, n: int, eps: float, high: float = 0.5, closed: bool = False) -> float:
+    """Q^-1(eps), once sigma^2 > 0, eps lies in (0, high) (or (0, high] if ``closed``) and n >= 1."""
     if params.sigma2 <= 0.0:
         raise ValueError("bound requires strictly positive varentropy")
     if not (0.0 < eps <= high if closed else 0.0 < eps < high):
         raise ValueError(f"eps must lie in (0, {high:g}{']' if closed else ')'}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     return gaussian_Q_inv(eps)
 
 
 def _gauss3(params: GaussianParams, n: int, lam: float) -> float:
     """H + sigma lam/sqrt(n) - log2(n)/(2n), the three-term approximation at lam = Q^-1(eps)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
     return params.H + params.sigma * lam / math.sqrt(n) - math.log2(n) / (2.0 * n)
 
 
@@ -227,7 +227,7 @@ def codelength_vs_info_check(
 
 def approx_Rstar(params: GaussianParams, n: int, eps: float) -> float:
     """Three-term Gaussian approximation H + sigma Q^-1(eps)/sqrt(n) - log2(n)/(2n), eps in (0, 1)."""
-    return _gauss3(params, n, _lam(params, eps, high=1.0))
+    return _gauss3(params, n, _lam(params, n, eps, high=1.0))
 
 
 def achievability_iid(params: GaussianParams, n: int, eps: float) -> BoundReport:
@@ -239,7 +239,7 @@ def achievability_iid(params: GaussianParams, n: int, eps: float) -> BoundReport
     The inner Phi^-1 argument must stay below 1; if the moment ratio pushes
     it to 1 at small n the bound is vacuous and reported invalid.  eps in (0, 1/2].
     """
-    lam = _lam(params, eps, closed=True)
+    lam = _lam(params, n, eps, closed=True)
     sigma = params.sigma
     base = _gauss3(params, n, lam)
     log_term = math.log2(LOG2E / math.sqrt(2.0 * math.pi * params.sigma2) + params.mu3 / sigma ** 3) / n
@@ -261,7 +261,7 @@ def converse_iid(params: GaussianParams, n: int, eps: float) -> BoundReport:
     valid when n exceeds
     n0 = (1 + mu3/(2 sigma^3))^2 / (2 phi(Q^-1(eps)) Q^-1(eps))^2.  eps in (0, 1/2).
     """
-    lam = _lam(params, eps)
+    lam = _lam(params, n, eps)
     sigma = params.sigma
     n0 = 0.25 * (1.0 + params.mu3 / (2.0 * sigma ** 3)) ** 2 / (gaussian_phi(lam) * lam) ** 2
     value = _gauss3(params, n, lam) - (params.mu3 / 2.0 + sigma ** 3) / (n * params.sigma2 * gaussian_phi(lam))
@@ -275,7 +275,7 @@ def reference_expansion(params: GaussianParams, n: int, eps: float) -> float:
       + mu3 (Q^-1(eps)^2 - 1)/(6 sigma^2 n).
     The non-lattice assumption behind it is deliberately not checked.  eps in (0, 1).
     """
-    lam = _lam(params, eps, high=1.0)
+    lam = _lam(params, n, eps, high=1.0)
     return (
         params.H
         + params.sigma * lam / math.sqrt(n)
@@ -296,7 +296,7 @@ def markov_achievability(params: GaussianParams, n: int, eps: float, a_const: fl
     where A = ``a_const`` is the chain's Berry-Esseen constant (theory proves
     it exists but gives no value; see :func:`markov_be_calibrate`).  eps in (0, 1/2).
     """
-    lam = _lam(params, eps)
+    lam = _lam(params, n, eps)
     density = gaussian_phi(lam)
     c_const = 2.0 * a_const * params.sigma / density
     n_min = 8.0 * a_const ** 2 / (math.pi * math.e * density ** 4)
@@ -310,7 +310,7 @@ def markov_converse(params: GaussianParams, n: int, eps: float, a_const: float) 
     C = sigma (A + 1)/phi(Q^-1(eps)) + 1 with A = ``a_const``, valid once
     n >= ((A + 1)/(Q^-1(eps) phi(Q^-1(eps))))^2.  eps in (0, 1/2).
     """
-    lam = _lam(params, eps)
+    lam = _lam(params, n, eps)
     density = gaussian_phi(lam)
     c_const = params.sigma * (a_const + 1.0) / density + 1.0
     n_min = ((a_const + 1.0) / (lam * density)) ** 2
@@ -369,7 +369,7 @@ def n_star_approx(params: GaussianParams, rate: float, eps: float) -> int:
     n ~ (sigma^2/H^2) (Q^-1(eps)/eta)^2, rounded up (at least 1).  Only
     meaningful for rates above the entropy.  eps in (0, 1/2].
     """
-    lam = _lam(params, eps, closed=True)
+    lam = _lam(params, 1, eps, closed=True)  # no blocklength yet: n is what this solves for
     if rate <= params.H:
         raise ValueError("no finite approximation: rate does not exceed the entropy rate")
     eta = rate / params.H - 1.0

@@ -2,10 +2,12 @@
 
 A source is either memoryless (a probability mass function on a finite
 alphabet; geometric and Poisson laws are truncated when built) or a
-finite-state Markov chain.  Everything downstream is driven by the
-per-outcome surprisal iota(x) = log2(1/P(x)), so this module also computes
-its moments: entropy, varentropy (the variance of the surprisal), the third
-centered absolute moment, and their per-step rates for Markov chains.
+finite-state Markov chain.  A source is its probabilities: outcomes and
+states carry no labels, since every limit is a function of the per-outcome
+surprisal iota(x) = log2(1/P(x)) alone.  This module also computes the
+surprisal's moments: entropy, varentropy (the variance of the surprisal),
+the third centered absolute moment, and their per-step rates for Markov
+chains.
 
 All logarithms are base 2; moments are in bits, bits^2 and bits^3.
 """
@@ -16,14 +18,13 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .errors import ConvergenceError, DistributionError, StructuralError
 
 PROB_SUM_TOL = 1e-12
-ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-12
 MAX_SUPPORT = 10_000_000  # symbols a truncated countable law may keep
 
@@ -47,44 +48,36 @@ __all__ = [
 ]
 
 
+def _stochastic(values, ndim: int, what: str, error: type[Exception]) -> np.ndarray:
+    """``values`` as a read-only float64 array with ``ndim`` axes, once every
+    entry is finite and nonnegative and every last-axis row sums to 1 within 1e-12."""
+    arr = np.array(values, dtype=np.float64)
+    if arr.ndim != ndim:
+        raise error(f"{what} must be a {('vector', 'matrix')[ndim - 1]} of numbers")
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+        raise error(f"{what} must be finite and nonnegative")
+    for row in np.atleast_2d(arr):
+        total = math.fsum(row)
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            raise error(f"{what} sum to {total!r}, not 1 within 1e-12")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class FiniteDistribution:
-    """Probability mass function on a finite, ordered alphabet.
+    """Probability mass function: one probability per outcome, in order.
 
-    Zero-probability symbols are dropped at construction so the surprisal is
-    never evaluated at zero mass.  Probabilities must be nonnegative and sum
-    to 1 within 1e-12; at least one must be strictly positive.
+    Probabilities must be finite, nonnegative and sum to 1 within 1e-12.
+    Zero-probability entries are dropped at construction so the surprisal is
+    never evaluated at zero mass.
     """
 
-    symbols: tuple
     probs: tuple
 
     def __post_init__(self):
-        if len(self.symbols) != len(self.probs):
-            raise DistributionError("symbols and probs must have equal length")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise DistributionError("symbols must be distinct")
-        kept_s, kept_p = [], []
-        for s, p in zip(self.symbols, self.probs):
-            p = float(p)
-            if not math.isfinite(p) or p < 0.0:
-                raise DistributionError(f"invalid probability {p!r} for symbol {s!r}")
-            if p > 0.0:
-                kept_s.append(s)
-                kept_p.append(p)
-        if not kept_p:
-            raise DistributionError("distribution has no positive mass")
-        total = math.fsum(kept_p)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise DistributionError(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "symbols", tuple(kept_s))
-        object.__setattr__(self, "probs", tuple(kept_p))
-
-    @classmethod
-    def from_probs(cls, probs: Sequence[float], symbols: Sequence | None = None) -> "FiniteDistribution":
-        if symbols is None:
-            symbols = tuple(range(len(probs)))
-        return cls(tuple(symbols), tuple(probs))
+        probs = _stochastic(self.probs, 1, "probabilities", DistributionError)
+        object.__setattr__(self, "probs", tuple(p for p in probs.tolist() if p > 0.0))
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -100,26 +93,22 @@ def _truncated(pmf: Callable[[int], float], tail_bound: float, name: str) -> Fin
     normalization invariant and the dropped tail sits far below display
     precision; a fatter tail forces a renormalization.
     """
-    probs = []
-    cum = 0.0
-    k = 0
+    if not 0.0 < tail_bound < 1.0:
+        raise DistributionError(f"tail_bound must lie in (0, 1), not {tail_bound!r}")
+    probs, cum = [], 0.0
     while cum < 1.0 - tail_bound:
-        p = float(pmf(k))
-        if p < 0.0:
-            raise DistributionError(f"pmf({k}) is negative")
-        probs.append(p)
-        cum += p
-        k += 1
-        if k > MAX_SUPPORT:
+        if len(probs) == MAX_SUPPORT:
             raise DistributionError(
                 f"truncation of {name} did not reach 1 - {tail_bound} within {MAX_SUPPORT} symbols"
             )
+        probs.append(float(pmf(len(probs))))
+        cum += probs[-1]
     deficit = 1.0 - math.fsum(probs)
     if deficit > PROB_SUM_TOL:
         # keep exact masses whenever allowed; renormalize only when the
         # configured tail is too fat for the normalization invariant
         probs = [p / (1.0 - deficit) for p in probs]
-    return FiniteDistribution.from_probs(probs)
+    return FiniteDistribution(probs)
 
 
 def geometric_distribution(q: float, tail_bound: float = 1e-12) -> FiniteDistribution:
@@ -141,15 +130,15 @@ def poisson_distribution(lam: float, tail_bound: float = 1e-12) -> FiniteDistrib
 
 
 def bernoulli(p: float) -> FiniteDistribution:
-    """Two-symbol distribution (1-p, p) on symbols (0, 1)."""
-    return FiniteDistribution.from_probs((1.0 - p, p))
+    """Two-outcome distribution (1-p, p)."""
+    return FiniteDistribution((1.0 - p, p))
 
 
 def uniform_distribution(m: int) -> FiniteDistribution:
     """Equiprobable distribution on m symbols."""
     if m < 1:
         raise DistributionError("support size must be at least 1")
-    return FiniteDistribution.from_probs((1.0 / m,) * m)
+    return FiniteDistribution((1.0 / m,) * m)
 
 
 def binomial_distribution(n_trials: int, p: float) -> FiniteDistribution:
@@ -165,14 +154,12 @@ def binomial_distribution(n_trials: int, p: float) -> FiniteDistribution:
         raise DistributionError("bias must lie in (0, 1)")
     l2p, l2q = math.log2(p), math.log2(1.0 - p)
     coeff = 1  # running exact binomial coefficient
-    symbols, probs = [], []
+    probs = []
     for k in range(n_trials + 1):
         lp = math.log2(coeff) + k * l2p + (n_trials - k) * l2q
-        if lp > -1074.0:
-            symbols.append(k)
-            probs.append(2.0 ** lp)
+        probs.append(2.0 ** lp if lp > -1074.0 else 0.0)
         coeff = coeff * (n_trials - k) // (k + 1)
-    return FiniteDistribution(tuple(symbols), tuple(probs))
+    return FiniteDistribution(probs)
 
 
 def entropy(dist: FiniteDistribution) -> float:
@@ -219,48 +206,39 @@ def _strongly_connected(adj: np.ndarray) -> bool:
     return reach(adj) and reach(adj.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovSource:
     """Finite-state Markov chain, one row of transition probabilities per state.
 
     A chain of order k >= 2 is represented in the usual first-order form on
     the expanded state alphabet of k-blocks.
     The kernel must be row-stochastic within 1e-12 and irreducible; periodic
-    chains (deterministic cycles, say) are allowed.
+    chains (deterministic cycles, say) are allowed.  ``initial`` gives one
+    probability per state in row order; ``None`` selects the stationary law.
+    Sources compare by identity.
 
     The chain owns the two tables that its rates, spectra and sampler read:
     the stationary law ``pi``, solved once on first use, and the
     per-transition surprisal table ``surprisal``.  Both are read-only and
     cached on the instance.
-
-    ``initial=None`` selects the stationary law.
     """
 
     kernel: np.ndarray
-    initial: FiniteDistribution | None = None
-    states: tuple = ()
+    initial: np.ndarray | None = None
 
     def __post_init__(self):
-        kern = np.array(self.kernel, dtype=np.float64)
-        if kern.ndim != 2 or kern.shape[0] != kern.shape[1]:
-            raise StructuralError("kernel must be a square matrix")
-        if np.any(kern < 0.0) or not np.all(np.isfinite(kern)):
-            raise StructuralError("kernel entries must be finite and nonnegative")
-        rows = kern.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > ROW_SUM_TOL):
-            raise StructuralError("kernel rows must sum to 1 within 1e-12")
+        kern = _stochastic(self.kernel, 2, "kernel rows", StructuralError)
+        m = kern.shape[0]
+        if m == 0 or kern.shape[1] != m:
+            raise StructuralError("kernel must be a nonempty square matrix")
         if not _strongly_connected(kern > 0.0):
             raise StructuralError("chain is reducible (state graph not strongly connected)")
-        kern.setflags(write=False)
         object.__setattr__(self, "kernel", kern)
-        states = self.states if self.states else tuple(range(kern.shape[0]))
-        if len(states) != kern.shape[0]:
-            raise StructuralError("states must label every row of the kernel")
-        object.__setattr__(self, "states", states)
         if self.initial is not None:
-            for s in self.initial.symbols:
-                if s not in states:
-                    raise StructuralError(f"initial law names unknown state {s!r}")
+            init = _stochastic(self.initial, 1, "initial probabilities", StructuralError)
+            if len(init) != m:
+                raise StructuralError(f"initial law needs one probability per state ({m}), not {len(init)}")
+            object.__setattr__(self, "initial", init)
 
     @property
     def n_states(self) -> int:
@@ -282,21 +260,14 @@ class MarkovSource:
         return f
 
     def initial_vector(self) -> np.ndarray:
-        """Initial state probabilities, defaulting to the stationary law."""
-        if self.initial is None:
-            return self.pi
-        lookup = {s: i for i, s in enumerate(self.states)}
-        vec = np.zeros(self.n_states)
-        for s, p in zip(self.initial.symbols, self.initial.probs):
-            vec[lookup[s]] = p
-        return vec
+        """Initial state probabilities, defaulting to the stationary law (read-only)."""
+        return self.pi if self.initial is None else self.initial
 
 
 def iid_kernel(dist: FiniteDistribution) -> MarkovSource:
-    """Chain whose every row equals ``dist`` (memoryless in Markov clothing)."""
+    """Chain whose every row, and whose initial law, equals ``dist`` (memoryless in Markov clothing)."""
     row = dist.prob_array()
-    kern = np.tile(row, (len(row), 1))
-    return MarkovSource(kern, initial=dist, states=tuple(dist.symbols))
+    return MarkovSource(np.tile(row, (len(row), 1)), initial=row)
 
 
 def _stationary_vector(kernel: np.ndarray, tol: float = 1e-15, max_iter: int = 500_000) -> np.ndarray:
@@ -324,7 +295,7 @@ def _stationary_vector(kernel: np.ndarray, tol: float = 1e-15, max_iter: int = 5
 
 def stationary_distribution(src: MarkovSource) -> FiniteDistribution:
     """Unique stationary law of an irreducible chain, pi with pi P = pi."""
-    return FiniteDistribution(tuple(src.states), tuple(src.pi))
+    return FiniteDistribution(src.pi)
 
 
 def markov_entropy_rate(src: MarkovSource) -> float:
@@ -362,15 +333,28 @@ def markov_varentropy_rate(src: MarkovSource) -> float:
 SourceSpec = Union[FiniteDistribution, MarkovSource]
 
 
+_SOURCE_KEYS = {
+    "memoryless": ("probs",),
+    "markov": ("kernel", "initial"),
+    "geometric": ("param", "tail_bound"),
+    "poisson": ("param", "tail_bound"),
+}
+
+
 def load_source(doc: Union[str, dict]) -> SourceSpec:
     """Build a source from its JSON description.
 
-    Accepted forms::
+    Accepted forms, with no other keys::
 
-        {"type": "memoryless", "probs": [...], "symbols": [...]?}
-        {"type": "markov", "kernel": [[...]], "initial": [...]?, "states": [...]?}
+        {"type": "memoryless", "probs": [...]}
+        {"type": "markov", "kernel": [[...]], "initial": [...]?}
         {"type": "geometric", "param": q, "tail_bound": t?}
         {"type": "poisson", "param": lam, "tail_bound": t?}
+
+    ``initial`` gives one probability per state in the kernel's row order;
+    left out (or null) it is the stationary law.  Every malformed description
+    raises :class:`DistributionError` (or :class:`StructuralError` for the
+    chain's own structure).
     """
     if isinstance(doc, str):
         try:
@@ -380,23 +364,19 @@ def load_source(doc: Union[str, dict]) -> SourceSpec:
     if not isinstance(doc, dict) or "type" not in doc:
         raise DistributionError("source description must be an object with a 'type' key")
     kind = doc["type"]
+    if not isinstance(kind, str) or kind not in _SOURCE_KEYS:
+        raise DistributionError(f"unknown source type {kind!r}")
+    unknown = [key for key in doc if key != "type" and key not in _SOURCE_KEYS[kind]]
+    if unknown:
+        raise DistributionError(f"{kind} source has unknown key(s): {', '.join(map(repr, unknown))}")
     try:
         if kind == "memoryless":
-            return FiniteDistribution.from_probs(doc["probs"], doc.get("symbols"))
+            return FiniteDistribution(doc["probs"])
         if kind == "markov":
-            initial = None
-            if doc.get("initial") is not None:
-                states = doc.get("states")
-                initial = FiniteDistribution.from_probs(doc["initial"], states)
-            return MarkovSource(
-                np.asarray(doc["kernel"], dtype=np.float64),
-                initial=initial,
-                states=tuple(doc["states"]) if doc.get("states") else (),
-            )
-        if kind == "geometric":
-            return geometric_distribution(float(doc["param"]), float(doc.get("tail_bound", 1e-12)))
-        if kind == "poisson":
-            return poisson_distribution(float(doc["param"]), float(doc.get("tail_bound", 1e-12)))
+            return MarkovSource(doc["kernel"], initial=doc.get("initial"))
+        law = geometric_distribution if kind == "geometric" else poisson_distribution
+        return law(float(doc["param"]), float(doc.get("tail_bound", 1e-12)))
     except KeyError as exc:
         raise DistributionError(f"source description missing field {exc}") from exc
-    raise DistributionError(f"unknown source type {kind!r}")
+    except (TypeError, ValueError) as exc:
+        raise DistributionError(f"malformed {kind} source: {exc}") from exc

@@ -151,17 +151,17 @@ MEMORYLESS_BATTERY = [
     bernoulli(0.11),
     bernoulli(0.3),
     uniform_distribution(2),
-    FiniteDistribution.from_probs((0.5, 0.3, 0.2)),
-    FiniteDistribution.from_probs((0.6, 0.2, 0.2)),
+    FiniteDistribution((0.5, 0.3, 0.2)),
+    FiniteDistribution((0.6, 0.2, 0.2)),
     uniform_distribution(3),
-    FiniteDistribution.from_probs(np.random.default_rng(41).dirichlet(np.ones(2))),
-    FiniteDistribution.from_probs(np.random.default_rng(42).dirichlet(np.ones(3))),
+    FiniteDistribution(np.random.default_rng(41).dirichlet(np.ones(2))),
+    FiniteDistribution(np.random.default_rng(42).dirichlet(np.ones(3))),
 ]
 
 MARKOV_BATTERY = [
     MarkovSource(np.array([[0.9, 0.1], [0.2, 0.8]])),
     MarkovSource(np.array([[0.5, 0.5], [0.3, 0.7]]),
-                 initial=FiniteDistribution.from_probs((1.0, 0.0))),
+                 initial=(1.0, 0.0)),
     MarkovSource(np.random.default_rng(43).dirichlet(np.ones(2), size=2)),
 ]
 
@@ -330,7 +330,7 @@ def test_criterion_08_binning_exact_and_mc():
     for m in range(2, 9):
         sources = [rng.dirichlet(np.ones(m)), np.full(m, 1.0 / m)]
         for probs in sources:
-            dist = FiniteDistribution.from_probs(probs)
+            dist = FiniteDistribution(probs)
             for n_bins in range(1, 5):
                 exact = binning_error_exact(BinningProblem(dist, n_bins))
                 brute = exhaustive_binning_error(dist.probs, n_bins)
@@ -339,7 +339,7 @@ def test_criterion_08_binning_exact_and_mc():
     # Monte-Carlo agreement at 4 standard errors for 20 random pairs
     for trial in range(20):
         m = int(rng.integers(2, 9))
-        dist = FiniteDistribution.from_probs(rng.dirichlet(np.ones(m)))
+        dist = FiniteDistribution(rng.dirichlet(np.ones(m)))
         n_bins = int(rng.integers(1, 9))
         problem = BinningProblem(dist, n_bins)
         exact = binning_error_exact(problem)

@@ -25,7 +25,7 @@ from _oracles import (
 
 class TestMassProfile:
     def test_classes_from_distribution(self):
-        d = FiniteDistribution.from_probs((0.5, 0.25, 0.125, 0.125))
+        d = FiniteDistribution((0.5, 0.25, 0.125, 0.125))
         classes = mass_profile(d)
         assert [(c.equal_count, c.heavier_count) for c in classes] == [(1, 0), (1, 1), (2, 2)]
         assert classes[2].per_string_prob == pytest.approx(0.125)
@@ -37,7 +37,7 @@ class TestMassProfile:
 
     def test_heavier_strictly_monotone(self):
         rng = np.random.default_rng(2)
-        d = FiniteDistribution.from_probs(rng.dirichlet(np.ones(8)))
+        d = FiniteDistribution(rng.dirichlet(np.ones(8)))
         classes = mass_profile(d)
         heavier = [c.heavier_count for c in classes]
         assert heavier == sorted(set(heavier))
@@ -45,7 +45,7 @@ class TestMassProfile:
 
 class TestExactFormula:
     def test_single_mass_always_decoded(self):
-        d = FiniteDistribution.from_probs((1.0,))
+        d = FiniteDistribution((1.0,))
         for n_bins in (1, 2, 7):
             assert binning_error_exact(BinningProblem(d, n_bins)) == pytest.approx(0.0, abs=1e-15)
 
@@ -53,7 +53,7 @@ class TestExactFormula:
         assert binning_error_exact(BinningProblem(uniform_distribution(2), 2)) == pytest.approx(0.25)
 
     def test_single_bin_picks_argmax(self):
-        d = FiniteDistribution.from_probs((0.5, 0.3, 0.2))
+        d = FiniteDistribution((0.5, 0.3, 0.2))
         # decoder always answers the heaviest outcome
         assert binning_error_exact(BinningProblem(d, 1)) == pytest.approx(0.5)
 
@@ -62,7 +62,7 @@ class TestExactFormula:
         cases = [uniform_distribution(4).probs, (0.5, 0.25, 0.125, 0.125)]
         cases += [tuple(rng.dirichlet(np.ones(m))) for m in (2, 3, 5, 6)]
         for probs in cases:
-            d = FiniteDistribution.from_probs(probs)
+            d = FiniteDistribution(probs)
             for n_bins in (1, 2, 3, 4):
                 exact = binning_error_exact(BinningProblem(d, n_bins))
                 brute = exhaustive_binning_error(d.probs, n_bins)
@@ -74,7 +74,7 @@ class TestExactFormula:
         probs = []
         for p, c in zip(s.probs, s.counts):
             probs.extend([p / c] * c)
-        flat = FiniteDistribution.from_probs(probs)
+        flat = FiniteDistribution(probs)
         for n_bins in (2, 5):
             a = binning_error_exact(BinningProblem(s, n_bins))
             b = binning_error_exact(BinningProblem(flat, n_bins))
@@ -83,13 +83,13 @@ class TestExactFormula:
     def test_error_non_increasing_in_bins(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
-            d = FiniteDistribution.from_probs(rng.dirichlet(np.ones(6)))
+            d = FiniteDistribution(rng.dirichlet(np.ones(6)))
             errs = [binning_error_exact(BinningProblem(d, n)) for n in range(1, 30)]
             assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
 
     def test_many_bins_small_error(self):
         for probs in [uniform_distribution(8).probs, (0.4, 0.3, 0.2, 0.1)]:
-            d = FiniteDistribution.from_probs(probs)
+            d = FiniteDistribution(probs)
             err = binning_error_exact(BinningProblem(d, len(d) * 64))
             assert err < 0.05
 
@@ -122,7 +122,7 @@ class TestExactFormula:
 
 class TestMonteCarlo:
     def test_single_mass_exact_zero(self):
-        d = FiniteDistribution.from_probs((1.0,))
+        d = FiniteDistribution((1.0,))
         est, err = binning_error_mc(BinningProblem(d, 3), 1000, seed=0)
         assert est == 0.0
 
@@ -131,7 +131,7 @@ class TestMonteCarlo:
         assert abs(est - 0.25) <= 4 * err
 
     def test_seed_determinism(self):
-        problem = BinningProblem(FiniteDistribution.from_probs((0.5, 0.3, 0.2)), 2)
+        problem = BinningProblem(FiniteDistribution((0.5, 0.3, 0.2)), 2)
         a = binning_error_mc(problem, 50_000, seed=3)
         b = binning_error_mc(problem, 50_000, seed=3)
         assert a == b
@@ -148,9 +148,9 @@ class TestMonteCarlo:
 # and the 78-symbol geometric law of the monte_carlo benchmark, which has none
 TIE_LAWS = [
     uniform_distribution(4),
-    FiniteDistribution.from_probs((0.4, 0.2, 0.2, 0.1, 0.1)),
-    FiniteDistribution.from_probs((0.5, 0.125, 0.125, 0.125, 0.125)),
-    FiniteDistribution.from_probs((0.1, 0.3, 0.3, 0.2, 0.1)),
+    FiniteDistribution((0.4, 0.2, 0.2, 0.1, 0.1)),
+    FiniteDistribution((0.5, 0.125, 0.125, 0.125, 0.125)),
+    FiniteDistribution((0.1, 0.3, 0.3, 0.2, 0.1)),
     geometric_distribution(0.3),
 ]
 
@@ -188,7 +188,7 @@ class TestMonteCarloStreaming:
     def test_traced_peak_memory_bounded(self):
         # 40,000 x 400 bins would be 128 MB as one int64 array
         weights = 1.0 + np.arange(400) // 4
-        problem = BinningProblem(FiniteDistribution.from_probs(weights / weights.sum()), 3)
+        problem = BinningProblem(FiniteDistribution(weights / weights.sum()), 3)
         tracemalloc.start()
         try:
             binning_error_mc(problem, 40_000, seed=0)

@@ -84,7 +84,7 @@ class TestGaussian:
 
 class TestUpperQuantile:
     def test_deterministic_source(self):
-        s = iid_spectrum(FiniteDistribution.from_probs((1.0,)), 4)
+        s = iid_spectrum(FiniteDistribution((1.0,)), 4)
         assert R_upper_quantile(s, 0.2).value == 0.0  # surprisal is identically 0
 
     def test_point_mass_uniform(self):
@@ -134,7 +134,7 @@ class TestConverseOptimized:
 
 class TestCodelengthVsInfo:
     def test_optimal_code_instance(self):
-        d = FiniteDistribution.from_probs((0.4, 0.3, 0.2, 0.1))
+        d = FiniteDistribution((0.4, 0.3, 0.2, 0.1))
         lengths = [r.bit_length() - 1 for r in range(1, 5)]
         order = sorted(range(4), key=lambda i: -d.probs[i])
         by_symbol = [0] * 4
@@ -152,7 +152,7 @@ class TestCodelengthVsInfo:
     def test_random_prefix_code_sixteen_symbols(self):
         rng = np.random.default_rng(10)
         probs = rng.dirichlet(np.ones(16))
-        d = FiniteDistribution.from_probs(probs)
+        d = FiniteDistribution(probs)
         # Shannon lengths of an independent random law satisfy Kraft
         q = rng.dirichlet(np.ones(16))
         lengths = [math.ceil(-math.log2(x)) for x in q]
@@ -236,6 +236,22 @@ class TestApproxAndIidBounds:
         for fn in (approx_Rstar, lambda p, n, e: achievability_iid(p, n, e)):
             with pytest.raises(ValueError):
                 fn(degenerate, 100, 0.1)
+
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            approx_Rstar,
+            achievability_iid,
+            converse_iid,
+            reference_expansion,
+            lambda p, n, e: markov_achievability(p, n, e, 0.8),
+            lambda p, n, e: markov_converse(p, n, e, 0.8),
+        ],
+        ids=["approx", "achievability", "converse", "reference", "markov_achievability", "markov_converse"],
+    )
+    def test_blocklength_zero_rejected(self, bound):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            bound(P11, 0, 0.1)
 
 
 class TestReferenceExpansion:

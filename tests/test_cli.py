@@ -107,6 +107,30 @@ class TestExitCodes:
         # a valid source whose varentropy is zero: the Gaussian approximation is undefined
         assert run_cli(["figure3", "--n-min", "10", "--n-max", "11", "--bias", "0.5"]) == 4
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"type": "markov", "kernel": [[0.9, 0.1], [0.2, 0.8]], "intial": [1, 0]}',
+            '{"type": "memoryless", "probs": [0.5, 0.5], "symbol": ["a", "b"]}',
+            '{"type": "markov", "kernel": [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]], "initial": [0.5, 0.5]}',
+            '{"type": "markov", "kernel": [[0.9, 0.1], [0.2, 0.8]], "initial": [1, 0, 0]}',
+            '{"type": "memoryless", "probs": 5}',
+            '{"type": "geometric", "param": null}',
+            '{"type": "markov", "kernel": [[0.9, 0.1], [0.2, 0.8]], "states": [[0], [1]]}',
+            '{"type": "memoryless", "probs": "ab"}',
+            '{"type": "markov", "kernel": [[0.9, 0.1], [0.2]]}',
+            '{"type": "geometric", "param": "x"}',
+            '{"type": ["memoryless"], "probs": [1.0]}',
+        ],
+        ids=["misspelt_initial", "unknown_symbol_key", "short_initial", "long_initial", "scalar_probs",
+             "null_param", "states_key", "string_probs", "ragged_kernel", "string_param", "list_type"],
+    )
+    def test_malformed_source_is_config_error(self, capsys, doc):
+        assert run_cli(["spectrum", "--source", doc, "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.err)["exit_code"] == 2
+
     def test_largest_bin_count_accepted(self, capsys):
         assert run_cli(["binning", "--source", B11_SRC, "--bins", str(2**63), "--trials", "1"]) == 0
 

@@ -34,7 +34,7 @@ B11 = bernoulli(0.11)
 
 class TestVarCodelength:
     def test_deterministic_source(self):
-        s = iid_spectrum(FiniteDistribution.from_probs((1.0,)), 5)
+        s = iid_spectrum(FiniteDistribution((1.0,)), 5)
         assert length_distribution(s).variance() == 0.0
 
     def test_uniform_three(self):
@@ -47,7 +47,7 @@ class TestVarCodelength:
             assert length_distribution(s).variance() == pytest.approx(var_length_equiprobable(m), abs=1e-9)
 
     def test_matches_brute_force(self):
-        for dist, n in [(B11, 7), (FiniteDistribution.from_probs((0.5, 0.3, 0.2)), 4)]:
+        for dist, n in [(B11, 7), (FiniteDistribution((0.5, 0.3, 0.2)), 4)]:
             s = iid_spectrum(dist, n)
             probs = sorted_probs(enumerate_iid(dist.probs, n))
             assert length_distribution(s).variance() == pytest.approx(brute_var_len(probs), abs=1e-12)
@@ -55,7 +55,7 @@ class TestVarCodelength:
 
 class TestSecondMomentGap:
     def test_deterministic_source(self):
-        s = iid_spectrum(FiniteDistribution.from_probs((1.0,)), 4)
+        s = iid_spectrum(FiniteDistribution((1.0,)), 4)
         assert length_distribution(s).gap2 == 0.0
 
     def test_dyadic_uniform_closed_form(self):
@@ -70,7 +70,7 @@ class TestSecondMomentGap:
             assert length_distribution(s).gap2 == pytest.approx(expected, rel=1e-9)
 
     def test_matches_brute_force(self):
-        for dist, n in [(B11, 6), (FiniteDistribution.from_probs((0.6, 0.2, 0.2)), 4)]:
+        for dist, n in [(B11, 6), (FiniteDistribution((0.6, 0.2, 0.2)), 4)]:
             s = iid_spectrum(dist, n)
             probs = sorted_probs(enumerate_iid(dist.probs, n))
             assert length_distribution(s).gap2 == pytest.approx(brute_second_moment_gap(probs), abs=1e-10)
@@ -133,7 +133,7 @@ class TestMomentRatios:
         assert 0.97 <= mean_len / mean_i <= 1.0
 
     def test_entropy_dominates_mean_length(self):
-        for dist, n in [(B11, 50), (FiniteDistribution.from_probs((0.5, 0.3, 0.2)), 8)]:
+        for dist, n in [(B11, 50), (FiniteDistribution((0.5, 0.3, 0.2)), 8)]:
             s = iid_spectrum(dist, n)
             h_block = n * entropy(dist)
             mean_len = n * Rbar(s)
@@ -164,7 +164,7 @@ class TestNormalizedDispersion:
 
     def test_zero_entropy_rejected(self):
         with pytest.raises(ValueError):
-            normalized_dispersion(FiniteDistribution.from_probs((1.0,)))
+            normalized_dispersion(FiniteDistribution((1.0,)))
 
 
 class TestCountableSources:

@@ -119,7 +119,7 @@ class TestEpsilonStar:
         assert epsilon_star(S11_2, 2) == pytest.approx(0.0121, abs=1e-12)
 
     def test_non_increasing_and_terminal_zero(self):
-        s = iid_spectrum(FiniteDistribution.from_probs((0.5, 0.3, 0.2)), 5)
+        s = iid_spectrum(FiniteDistribution((0.5, 0.3, 0.2)), 5)
         values = [epsilon_star(s, k) for k in range(0, s.total_count.bit_length() + 1)]
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
         assert values[-1] == 0.0
@@ -141,8 +141,8 @@ class TestEpsilonCurve:
     SPECTRA = {
         "bernoulli_n300": lambda: iid_spectrum(B11, 300),  # counts beyond 2^53
         "uniform2": lambda: iid_spectrum(uniform_distribution(2), 12),  # one class across every dyadic block
-        "three_letter": lambda: iid_spectrum(FiniteDistribution.from_probs((0.6, 0.3, 0.1)), 20),
-        "dyadic": lambda: iid_spectrum(FiniteDistribution.from_probs((0.5, 0.25, 0.125, 0.125)), 8),
+        "three_letter": lambda: iid_spectrum(FiniteDistribution((0.6, 0.3, 0.1)), 20),
+        "dyadic": lambda: iid_spectrum(FiniteDistribution((0.5, 0.25, 0.125, 0.125)), 8),
         "markov": lambda: markov_spectrum_exact(MarkovSource(np.array([[0.9, 0.1], [0.2, 0.8]])), 10),
     }
 
@@ -188,7 +188,7 @@ class TestOneWalk:
             (uniform_distribution(2), 12),  # one class across every dyadic block
             (uniform_distribution(1607), 1),  # a gap term where the C pow(x, 2) and x * x round apart
             (B11, 300),  # counts beyond 2^53
-            (FiniteDistribution.from_probs((0.999, 0.001)), 2000),  # probabilities underflow to 0
+            (FiniteDistribution((0.999, 0.001)), 2000),  # probabilities underflow to 0
         ],
     )
     def test_edge_spectra(self, dist, n):
@@ -207,7 +207,7 @@ class TestOneWalk:
         # the last letter takes the rest, so dyadic draws tie whole classes
         rest = 1.0 - math.fsum(letters)
         assume(rest >= 0.01)
-        _assert_matches_walk_references(iid_spectrum(FiniteDistribution.from_probs(letters + [rest]), n))
+        _assert_matches_walk_references(iid_spectrum(FiniteDistribution(letters + [rest]), n))
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
@@ -229,7 +229,7 @@ class TestRStar:
     def test_deterministic_source(self):
         # threshold convention: the smallest k with P[len >= k] <= eps is 1
         # even for a point mass (the excess probability at k = 0 is always 1)
-        s = iid_spectrum(FiniteDistribution.from_probs((1.0,)), 3)
+        s = iid_spectrum(FiniteDistribution((1.0,)), 3)
         assert R_star(s, 0.3) == pytest.approx(1 / 3)
         assert epsilon_star(s, 1) == 0.0
 
@@ -242,7 +242,7 @@ class TestRStar:
         assert R_star(S11_2, 0.1) == pytest.approx(1.0)
 
     def test_eps_zero_allowed(self):
-        s = iid_spectrum(FiniteDistribution.from_probs((0.5, 0.3, 0.2)), 2)
+        s = iid_spectrum(FiniteDistribution((0.5, 0.3, 0.2)), 2)
         assert R_star(s, 0.0) == pytest.approx(math.ceil(2 * math.log2(3)) / 2)
 
     def test_eps_validation(self):
@@ -304,7 +304,7 @@ class TestRbar:
     def test_integral_identity(self):
         assert integral_identity_check(iid_spectrum(uniform_distribution(2), 2)) < 1e-12
         assert integral_identity_check(iid_spectrum(B11, 8)) < 1e-9
-        assert integral_identity_check(iid_spectrum(FiniteDistribution.from_probs((0.5, 0.3, 0.2)), 4)) < 1e-9
+        assert integral_identity_check(iid_spectrum(FiniteDistribution((0.5, 0.3, 0.2)), 4)) < 1e-9
 
 
 class TestEquiprobableForms:
@@ -358,7 +358,7 @@ class TestPrefixCoupling:
             assert prefix_epsilon(s, k) == 0.0
 
     def test_kraft_oracle_agreement(self):
-        for dist, n in [(B11, 6), (FiniteDistribution.from_probs((0.5, 0.3, 0.2)), 4)]:
+        for dist, n in [(B11, 6), (FiniteDistribution((0.5, 0.3, 0.2)), 4)]:
             s = iid_spectrum(dist, n)
             probs = sorted_probs(enumerate_iid(dist.probs, n))
             total = len(dist) ** n
@@ -391,8 +391,8 @@ class TestBruteForceEquivalence:
         (bernoulli(0.11), 6),
         (bernoulli(0.3), 5),
         (uniform_distribution(2), 6),
-        (FiniteDistribution.from_probs((0.5, 0.3, 0.2)), 4),
-        (FiniteDistribution.from_probs((0.6, 0.2, 0.2)), 4),
+        (FiniteDistribution((0.5, 0.3, 0.2)), 4),
+        (FiniteDistribution((0.6, 0.2, 0.2)), 4),
         (uniform_distribution(3), 4),
     ]
 
@@ -415,7 +415,7 @@ class TestOptimalityProperties:
         rng = np.random.default_rng(23)
         for _ in range(10):
             probs = rng.dirichlet(np.ones(4))
-            d = FiniteDistribution.from_probs(probs)
+            d = FiniteDistribution(probs)
             ranked = sorted_probs(enumerate_iid(d.probs, 3))
             for r, p in enumerate(ranked, start=1):
                 assert r.bit_length() - 1 <= -math.log2(p) + 1e-9

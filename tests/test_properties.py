@@ -20,7 +20,7 @@ def _random_source_and_block(rng):
     m = int(rng.integers(2, 5))
     n = int(rng.integers(1, {2: 8, 3: 5, 4: 4}[m] + 1))
     probs = rng.dirichlet(np.ones(m))
-    return FiniteDistribution.from_probs(probs), n
+    return FiniteDistribution(probs), n
 
 
 def _random_injective_lengths(rng, total):
@@ -68,7 +68,7 @@ def check_converse_inequalities(seed=977):
     checked = 0
     for _ in range(30):
         m = int(rng.integers(2, 33))
-        dist = FiniteDistribution.from_probs(rng.dirichlet(np.ones(m)))
+        dist = FiniteDistribution(rng.dirichlet(np.ones(m)))
         lengths = _random_injective_lengths(rng, m)
         for tau in taus:
             left, right = codelength_vs_info_check(dist, lengths, tau)
@@ -96,7 +96,7 @@ def check_count_integral_identity():
         iid_spectrum(bernoulli(0.11), 8),
         iid_spectrum(bernoulli(0.11), 32),
         iid_spectrum(uniform_distribution(3), 3),
-        iid_spectrum(FiniteDistribution.from_probs((0.5, 0.3, 0.2)), 4),
+        iid_spectrum(FiniteDistribution((0.5, 0.3, 0.2)), 4),
         iid_spectrum(geometric_distribution(0.5), 1),
     ]
     points = 0

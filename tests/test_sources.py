@@ -35,24 +35,25 @@ def binary_entropy(p):
 
 class TestFiniteDistribution:
     def test_zero_mass_symbols_dropped(self):
-        d = FiniteDistribution.from_probs((0.5, 0.0, 0.5), symbols=("a", "b", "c"))
-        assert d.symbols == ("a", "c")
+        d = FiniteDistribution((0.5, 0.0, 0.5))
+        assert d.probs == (0.5, 0.5)
 
     def test_rejects_negative(self):
         with pytest.raises(DistributionError):
-            FiniteDistribution.from_probs((1.1, -0.1))
+            FiniteDistribution((1.1, -0.1))
 
     def test_rejects_bad_normalization(self):
         with pytest.raises(DistributionError):
-            FiniteDistribution.from_probs((0.5, 0.4))
+            FiniteDistribution((0.5, 0.4))
 
     def test_rejects_all_zero(self):
         with pytest.raises(DistributionError):
-            FiniteDistribution.from_probs((0.0, 0.0))
+            FiniteDistribution((0.0, 0.0))
 
-    def test_rejects_duplicate_symbols(self):
+    @pytest.mark.parametrize("probs", [5, [[0.5, 0.5]], (0.5, math.nan, 0.5), (1.0, math.inf)])
+    def test_rejects_malformed(self, probs):
         with pytest.raises(DistributionError):
-            FiniteDistribution.from_probs((0.5, 0.5), symbols=("a", "a"))
+            FiniteDistribution(probs)
 
 
 class TestMoments:
@@ -94,9 +95,9 @@ class TestMoments:
         rng = np.random.default_rng(5)
         for _ in range(20):
             probs = rng.dirichlet(np.ones(6))
-            d1 = FiniteDistribution.from_probs(probs)
+            d1 = FiniteDistribution(probs)
             perm = rng.permutation(6)
-            d2 = FiniteDistribution.from_probs(probs[perm])
+            d2 = FiniteDistribution(probs[perm])
             assert entropy(d1) == pytest.approx(entropy(d2), rel=1e-12)
             assert varentropy(d1) == pytest.approx(varentropy(d2), rel=1e-9, abs=1e-13)
 
@@ -104,12 +105,12 @@ class TestMoments:
         rng = np.random.default_rng(17)
         for _ in range(30):
             probs = rng.dirichlet(np.ones(4))
-            d = FiniteDistribution.from_probs(probs)
+            d = FiniteDistribution(probs)
             spread = max(probs) - min(probs)
             if spread > 1e-6:
                 assert varentropy(d) > 0.0
         # uniform with a zero symbol still counts as uniform on its support
-        d = FiniteDistribution.from_probs((0.25, 0.25, 0.0, 0.25, 0.25))
+        d = FiniteDistribution((0.25, 0.25, 0.0, 0.25, 0.25))
         assert varentropy(d) == pytest.approx(0.0, abs=1e-20)
 
 
@@ -134,9 +135,19 @@ class TestCountable:
         with pytest.raises(DistributionError):
             poisson_distribution(-1.0)
 
+    @pytest.mark.parametrize("tail_bound", [-1.0, 0.0, 1.5, math.nan])
+    @pytest.mark.parametrize(
+        "law",
+        [lambda t: geometric_distribution(0.3, t), lambda t: poisson_distribution(2.0, t)],
+        ids=["geometric", "poisson"],
+    )
+    def test_tail_bound_outside_unit_interval(self, law, tail_bound):
+        with pytest.raises(DistributionError, match="tail_bound must lie in"):
+            law(tail_bound)
+
     def test_binomial_matches_comb(self):
         d = binomial_distribution(10, 0.5)
-        assert dict(zip(d.symbols, d.probs))[3] == pytest.approx(math.comb(10, 3) / 1024, rel=1e-12, abs=0.0)
+        assert d.probs[3] == pytest.approx(math.comb(10, 3) / 1024, rel=1e-12, abs=0.0)
 
 
 class TestMarkovStructure:
@@ -152,10 +163,30 @@ class TestMarkovStructure:
         cyc = MarkovSource(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert tuple(cyc.pi) == pytest.approx((0.5, 0.5), abs=1e-15)
 
-    def test_initial_law_on_unknown_state_rejected(self):
-        initial = FiniteDistribution.from_probs((0.5, 0.5), symbols=("a", "b"))
-        with pytest.raises(StructuralError, match="unknown state 'a'"):
+    def test_initial_law_of_wrong_length_rejected(self):
+        # stochastic vectors, but not one probability per state
+        for kernel, initial in (
+            ([[0.9, 0.1], [0.2, 0.8]], [1.0, 0.0, 0.0]),
+            ([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]], [0.5, 0.5]),
+        ):
+            with pytest.raises(StructuralError, match="one probability per state"):
+                MarkovSource(np.array(kernel), initial=initial)
+
+    @pytest.mark.parametrize("initial", [[0.5, 0.4], [1.5, -0.5], [[1.0, 0.0]], [math.nan, 1.0]])
+    def test_initial_law_must_be_stochastic(self, initial):
+        with pytest.raises(StructuralError):
             MarkovSource(np.array([[0.9, 0.1], [0.2, 0.8]]), initial=initial)
+
+    def test_initial_law_kept_in_row_order(self):
+        src = MarkovSource(np.array([[0.9, 0.1], [0.2, 0.8]]), initial=(0.0, 1.0))
+        assert src.initial_vector().tolist() == [0.0, 1.0]
+        assert not src.initial_vector().flags.writeable
+
+    def test_sources_compare_by_identity(self):
+        kern = np.array([[0.9, 0.1], [0.2, 0.8]])
+        a, b = MarkovSource(kern), MarkovSource(kern)
+        assert a == a and a != b
+        assert {a: 1, b: 2}[a] == 1
 
 
 class TestStationary:
@@ -165,7 +196,7 @@ class TestStationary:
         assert pi.probs == pytest.approx((0.5, 0.5), abs=1e-12)
 
     def test_iid_kernel_gives_marginal(self):
-        q = FiniteDistribution.from_probs((0.2, 0.3, 0.5))
+        q = FiniteDistribution((0.2, 0.3, 0.5))
         pi = stationary_distribution(iid_kernel(q))
         assert pi.probs == pytest.approx(q.probs, abs=1e-12)
 
@@ -328,6 +359,20 @@ class TestJsonLoading:
     def test_missing_field(self):
         with pytest.raises(DistributionError):
             load_source('{"type": "memoryless"}')
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"type": "memoryless", "probs": [0.5, 0.5], "symbols": ["a", "b"]}, "symbols"),
+            ({"type": "markov", "kernel": [[0.9, 0.1], [0.2, 0.8]], "intial": [1, 0]}, "intial"),
+            ({"type": "markov", "kernel": [[0.9, 0.1], [0.2, 0.8]], "states": ["a", "b"]}, "states"),
+            ({"type": "geometric", "param": 0.5, "order": 1}, "order"),
+            ({"type": "poisson", "param": 2.0, "probs": [1.0]}, "probs"),
+        ],
+    )
+    def test_unknown_key_rejected_by_name(self, doc, key):
+        with pytest.raises(DistributionError, match=f"unknown key.*'{key}'"):
+            load_source(doc)
 
     def test_invalid_json(self):
         with pytest.raises(DistributionError):

@@ -166,7 +166,7 @@ class TestIidSpectrum:
         assert s.counts == (64,)
 
     def test_three_symbol_counts_are_multinomials(self):
-        d = FiniteDistribution.from_probs((0.5, 0.3, 0.2))
+        d = FiniteDistribution((0.5, 0.3, 0.2))
         s = iid_spectrum(d, 4)
         assert s.total_count == 3 ** 4
         brute = enumerate_iid(d.probs, 4)
@@ -183,7 +183,7 @@ class TestIidSpectrum:
 
     def test_budget_exceeded_suggests_raising_budget(self, monkeypatch):
         monkeypatch.setenv("COMPLIMITS_TYPE_CLASS_BUDGET", "1000")
-        d = FiniteDistribution.from_probs((0.25,) * 4)
+        d = FiniteDistribution((0.25,) * 4)
         with pytest.raises(BudgetExceededError) as err:
             iid_spectrum(d, 500)
         assert "COMPLIMITS_TYPE_CLASS_BUDGET" in err.value.suggestion
@@ -199,7 +199,7 @@ class TestIidSpectrum:
         assert iid_spectrum(B11, 64).self_check() < 1e-9
         # exact counts whose least masses are subnormal (about 1e-322): those
         # carry too few bits for a relative residual and must not count
-        skewed = iid_spectrum(FiniteDistribution.from_probs((0.98, 0.01, 0.01)), 300)
+        skewed = iid_spectrum(FiniteDistribution((0.98, 0.01, 0.01)), 300)
         assert any(0.0 < p < sys.float_info.min for p in skewed.probs.tolist())
         assert skewed.self_check() < 1e-9
 
@@ -222,7 +222,7 @@ class TestColumnConstructors:
         ],
     )
     def test_iid_bit_identical_to_per_mass_path(self, probs, n):
-        dist = FiniteDistribution.from_probs(probs)
+        dist = FiniteDistribution(probs)
         _assert_matches_reference(iid_spectrum(dist, n), _ref_iid_triples(dist.probs, n))
 
     def test_markov_bit_identical_to_per_mass_path(self):
@@ -243,7 +243,7 @@ class TestColumnConstructors:
         rest = 1.0 - math.fsum(letters)
         if rest < 0.01:
             return
-        dist = FiniteDistribution.from_probs(letters + [rest])
+        dist = FiniteDistribution(letters + [rest])
         _assert_matches_reference(iid_spectrum(dist, n), _ref_iid_triples(dist.probs, n))
 
     def test_merge_joins_the_first_mass_of_a_group(self):
@@ -255,12 +255,12 @@ class TestColumnConstructors:
         assert s.counts == (3, 5)
 
     def test_certain_symbol_has_positive_zero_surprisal(self):
-        s = iid_spectrum(FiniteDistribution.from_probs((1.0, 0.0)), 3)
+        s = iid_spectrum(FiniteDistribution((1.0, 0.0)), 3)
         assert s.counts == (1,)
         assert math.copysign(1.0, float(s.infos[0])) == 1.0
 
     def test_certain_path_has_positive_zero_surprisal(self):
-        cyc = MarkovSource(np.array([[0.0, 1.0], [1.0, 0.0]]), initial=FiniteDistribution.from_probs((1.0, 0.0)))
+        cyc = MarkovSource(np.array([[0.0, 1.0], [1.0, 0.0]]), initial=(1.0, 0.0))
         s = markov_spectrum_exact(cyc, 4)
         assert s.counts == (1,)
         assert math.copysign(1.0, float(s.infos[0])) == 1.0
@@ -270,7 +270,7 @@ class TestMarkovSpectrum:
     KERNEL = np.array([[0.9, 0.1], [0.2, 0.8]])
 
     def test_iid_kernel_reduces_to_iid(self):
-        d = FiniteDistribution.from_probs((0.2, 0.3, 0.5))
+        d = FiniteDistribution((0.2, 0.3, 0.5))
         s_markov = markov_spectrum_exact(iid_kernel(d), 3)
         s_iid = iid_spectrum(d, 3)
         assert len(s_markov) == len(s_iid)
@@ -312,7 +312,7 @@ class TestMarkovSpectrum:
 
 class TestMonteCarloSpectrum:
     def test_deterministic_chain_single_mass(self):
-        cyc = MarkovSource(np.array([[0.0, 1.0], [1.0, 0.0]]), initial=FiniteDistribution.from_probs((1.0, 0.0)))
+        cyc = MarkovSource(np.array([[0.0, 1.0], [1.0, 0.0]]), initial=(1.0, 0.0))
         s = markov_spectrum_mc(cyc, 5, 1000, seed=1)
         assert len(s) == 1
         assert s.probs[0] == 1.0
