@@ -29,7 +29,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .spectrum import InformationSpectrum, count_times_pstring
+import numpy as np
+
+from .spectrum import InformationSpectrum, _pstring_column, count_times_pstring
 
 __all__ = [
     "CodelengthDistribution",
@@ -147,23 +149,25 @@ def _dyadic_walk(spec: InformationSpectrum) -> tuple[list, list, list, list]:
     and the excess is the mass ranked after it plus the part of it past the
     cut, as in ``rank_cut``.
     """
-    lengths, takes, infos, tail = [], [], [], [1.0]
+    lengths, takes, infos, cut_at, rests = [], [], [], [], []
     j, consumed, cut = 0, 0, 1  # cut = 2^(j+1) - 1 closes the block of length j
-    for after, end, info in zip(spec.suffix_probs.tolist()[1:], spec.cum_counts, spec.infos.tolist()):
+    for i, (end, info) in enumerate(zip(spec.cum_counts, spec.infos.tolist())):
         while cut <= end:
             lengths.append(j)
             takes.append(cut - consumed)
             infos.append(info)
-            tail.append(after + count_times_pstring(end - cut, info))
+            cut_at.append(i)
+            rests.append(end - cut)
             j, consumed, cut = j + 1, cut, 2 * cut + 1
         if consumed < end:
             lengths.append(j)
             takes.append(end - consumed)
             infos.append(info)
             consumed = end
-    del tail[spec.total_count.bit_length():]  # a total of 2^L - 1 ends on the cut of k = L
-    tail.append(0.0)
-    return lengths, list(map(count_times_pstring, takes, infos)), infos, tail
+    k_max = spec.total_count.bit_length() - 1  # a total of 2^L - 1 ends on the cut of k = L
+    at = np.array(cut_at[:k_max], dtype=np.int64)
+    cuts = spec.suffix_probs[at + 1] + _pstring_column(rests[:k_max], spec.infos[at])
+    return lengths, _pstring_column(takes, infos).tolist(), infos, [1.0, *cuts.tolist(), 0.0]
 
 
 def length_distribution(spec: InformationSpectrum) -> CodelengthDistribution:

@@ -86,15 +86,24 @@ class FiniteDistribution:
         return np.asarray(self.probs, dtype=np.float64)
 
 
-def _truncated(pmf: Callable[[int], float], tail_bound: float, name: str) -> FiniteDistribution:
+def _truncated(
+    pmf: Callable[[int], float], tail_bound: float, name: str, needed: Callable[[float], float]
+) -> FiniteDistribution:
     """Finite law on k = 0, 1, ... holding at least 1 - tail_bound of a countable one.
 
+    ``needed(tail_bound)`` is a lower bound on the symbols that takes, so a
+    law that cannot fit MAX_SUPPORT is rejected before its pmf is evaluated.
     With the default tail_bound of 1e-12 the kept masses already satisfy the
     normalization invariant and the dropped tail sits far below display
     precision; a fatter tail forces a renormalization.
     """
     if not 0.0 < tail_bound < 1.0:
         raise DistributionError(f"tail_bound must lie in (0, 1), not {tail_bound!r}")
+    at_least = needed(tail_bound)
+    if at_least > MAX_SUPPORT:
+        raise DistributionError(
+            f"truncation of {name} to 1 - {tail_bound} needs at least {at_least:.0f} symbols, more than {MAX_SUPPORT}"
+        )
     probs, cum = [], 0.0
     while cum < 1.0 - tail_bound:
         if len(probs) == MAX_SUPPORT:
@@ -115,7 +124,10 @@ def geometric_distribution(q: float, tail_bound: float = 1e-12) -> FiniteDistrib
     """Geometric law P(k) = q * (1-q)^k on k = 0, 1, 2, ..., truncated to 1 - tail_bound."""
     if not 0.0 < q < 1.0:
         raise DistributionError("geometric parameter must lie in (0, 1)")
-    return _truncated(lambda k: q * (1.0 - q) ** k, tail_bound, f"geometric({q})")
+    # the first k symbols hold 1 - (1-q)^k
+    return _truncated(
+        lambda k: q * (1.0 - q) ** k, tail_bound, f"geometric({q})", lambda t: math.log(t) / math.log1p(-q)
+    )
 
 
 def poisson_distribution(lam: float, tail_bound: float = 1e-12) -> FiniteDistribution:
@@ -126,7 +138,11 @@ def poisson_distribution(lam: float, tail_bound: float = 1e-12) -> FiniteDistrib
     def pmf(k: int) -> float:
         return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
 
-    return _truncated(pmf, tail_bound, f"poisson({lam})")
+    def needed(tail_bound: float) -> float:
+        a = MAX_SUPPORT - 1  # Chernoff, for a < lam: P(k <= a) <= exp(a - lam) * (lam / a)^a
+        return MAX_SUPPORT + 1 if lam > a and a - lam + a * math.log(lam / a) < math.log1p(-tail_bound) else 0
+
+    return _truncated(pmf, tail_bound, f"poisson({lam})", needed)
 
 
 def bernoulli(p: float) -> FiniteDistribution:

@@ -9,20 +9,23 @@ work at blocklengths in the thousands where counts overflow any float.
 
 Masses are sorted by increasing surprisal, i.e. decreasing per-string
 probability.  A mass probability is count * 2^(-surprisal), through log space
-only for counts beyond 53 bits or surprisals beyond 1000 bits.  Masses within
-1e-12 bits of the first surprisal of their group merge, with ``math.fsum``
-over their probabilities, so that counting queries are well defined.  Every
-limit reads the excess side, so a spectrum keeps Kahan-compensated suffix
-sums; the retained side P[surprisal <= a] is formed on request
-(``cdf_values``).
+only for counts beyond 53 bits or surprisals beyond 1000 bits, formed as one
+column per spectrum bit-identical to ``count_times_pstring`` (``_pstring_column``);
+a binomial row comes by Pascal's rule from row n - 1 when that was the last one built.
+Masses within 1e-12 bits of the first surprisal of their group merge, with
+``math.fsum`` over their probabilities, so that counting queries are well
+defined.  Every limit reads the excess side, so a spectrum keeps
+Kahan-compensated suffix sums; the retained side P[surprisal <= a] is formed
+on request (``cdf_values``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .sources import FiniteDistribution, MarkovSource
 
 MERGE_TOL = 1e-12  # bits; masses closer than this are one mass
 PROB_CHECK_TOL = 1e-9
+_COLUMN_MIN = 1024  # masses; a shorter column is cheaper one mass at a time than through NumPy
 
 __all__ = [
     "InformationSpectrum",
@@ -57,6 +61,26 @@ def count_times_pstring(count: int, info: float) -> float:
     if lp < -1080.0:
         return 0.0
     return 2.0 ** lp
+
+
+def _pstring_column(counts: Sequence[int], infos) -> np.ndarray:
+    """``[count_times_pstring(c, x) for c, x in zip(counts, infos)]``, bit for bit: from
+    _COLUMN_MIN masses on, big-int and libm calls run through ``map`` and float arithmetic in
+    NumPy, which rounds as Python does (its ``power`` and ``exp2`` differ from libm ``pow``)."""
+    infos = np.asarray(infos, dtype=np.float64)
+    if len(infos) < _COLUMN_MIN:
+        return np.fromiter(map(count_times_pstring, counts, infos.tolist()), np.float64, len(infos))
+    bits = np.fromiter(map(int.bit_length, counts), np.int64, len(infos))
+    live = bits > 0 if min(counts, default=0) >= 0 else np.fromiter(map((0).__lt__, counts), bool, len(infos))
+    direct = live & (bits <= 53) & (infos <= 1000.0)
+    logged = live & ~direct & ~(bits - infos < -1080.0)  # log2(count) <= bits: the others fall below the cut
+    factor, power = np.ones(len(infos)), -infos  # count * 2^(-info), or 1.0 * 2^(log2(count) - info)
+    factor[direct] = np.fromiter(map(float, itertools.compress(counts, direct.tolist())), np.float64)
+    power[logged] += np.fromiter(map(math.log2, itertools.compress(counts, logged.tolist())), np.float64)
+    keep = live & ~(power < -1080.0)
+    out = np.zeros(len(infos))
+    out[keep] = factor[keep] * np.fromiter(map(pow, itertools.repeat(2.0), power[keep].tolist()), np.float64)
+    return out
 
 
 def _kahan_prefix(values: np.ndarray) -> np.ndarray:
@@ -108,16 +132,13 @@ class InformationSpectrum:
     ):
         infos_arr = np.asarray(infos, dtype=np.float64)
         probs_arr = np.asarray(probs, dtype=np.float64)
-        counts_t = tuple(map(int, counts))
+        counts_t = tuple(map(operator.index, counts))
         if not (len(infos_arr) == len(probs_arr) == len(counts_t)) or len(infos_arr) == 0:
             raise DistributionError("spectrum needs equal-length, nonempty mass arrays")
         if np.any(np.diff(infos_arr) <= 0.0):
             raise DistributionError("surprisal values must be strictly increasing")
         if min(counts_t) < 1:
             raise DistributionError("mass counts must be positive integers")
-        total = math.fsum(probs_arr.tolist())
-        if abs(total - 1.0) > PROB_CHECK_TOL:
-            raise DistributionError(f"mass probabilities sum to {total!r}")
         infos_arr.setflags(write=False)
         probs_arr.setflags(write=False)
         self.infos = infos_arr
@@ -128,10 +149,13 @@ class InformationSpectrum:
         self.sample_size = int(sample_size)
 
         # past the last nonzero probability the compensated sum stays +0.0
-        live = int(np.flatnonzero(probs_arr)[-1]) + 1
+        live = int(np.flatnonzero(probs_arr)[-1]) + 1 if probs_arr.any() else 0
         self.suffix_probs = np.zeros(len(probs_arr) + 1)
         self.suffix_probs[:live] = _kahan_prefix(probs_arr[:live][::-1])[::-1]
         self.suffix_probs.setflags(write=False)
+        total = float(self.suffix_probs[0])
+        if not abs(total - 1.0) <= PROB_CHECK_TOL:  # NaN fails too
+            raise DistributionError(f"mass probabilities sum to {total!r}")
         self.cum_counts = tuple(itertools.accumulate(counts_t))
 
     def __len__(self) -> int:
@@ -156,13 +180,10 @@ class InformationSpectrum:
         skipped: subnormals carry too few significant bits for a relative
         residual to mean anything.
         """
-        worst = 0.0
-        for i, c in enumerate(self.counts):
-            ref = count_times_pstring(c, float(self.infos[i]))
-            p = float(self.probs[i])
-            if max(ref, p) >= sys.float_info.min:
-                worst = max(worst, abs(ref - p) / max(ref, p))
-        return worst
+        ref = _pstring_column(self.counts, self.infos)
+        scale = np.maximum(ref, self.probs)
+        normal = scale >= sys.float_info.min
+        return float(np.max(np.abs(ref - self.probs)[normal] / scale[normal], initial=0.0))
 
 
 def _finish(infos: np.ndarray, probs: Sequence[float], counts: Sequence[int], n: int) -> InformationSpectrum:
@@ -173,9 +194,11 @@ def _finish(infos: np.ndarray, probs: Sequence[float], counts: Sequence[int], n:
     ``math.fsum`` of its probabilities in sorted order and the exact sum of
     its counts; a lone mass keeps its probability as it is.
     """
+    probs = np.asarray(probs, dtype=np.float64)
     order = np.argsort(infos, kind="stable")
-    infos, probs = infos[order], np.asarray(probs, dtype=np.float64)[order]
-    counts = [counts[i] for i in order.tolist()]
+    if np.any(order != np.arange(len(order))):  # sorted columns are kept as they are
+        infos, probs = infos[order], probs[order]
+        counts = list(map(counts.__getitem__, order.tolist()))
     starts = np.ones(len(infos), dtype=bool)
     for i in (np.flatnonzero(np.diff(infos) <= MERGE_TOL) + 1).tolist():  # only these can join
         if starts[i - 1]:
@@ -195,32 +218,40 @@ def _finish(infos: np.ndarray, probs: Sequence[float], counts: Sequence[int], n:
 # ---------------------------------------------------------------------------
 
 
-def _compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` nonnegative integers summing to n (iterative)."""
-    if parts == 1:
-        yield (n,)
-        return
-    comp = [n] + [0] * (parts - 1)
-    while True:
-        yield tuple(comp)
-        if comp[-1] == n:
-            return
-        i = 0
-        while comp[i] == 0:
-            i += 1
-        t = comp[i]
-        comp[i] = 0
-        comp[0] = t - 1
-        comp[i + 1] += 1
+_half_row_cache = (0, [1])  # (n, [C(n, k) for k in 0..n // 2]): the last row built
 
 
-def _multinomial(n: int, counts: Sequence[int]) -> int:
-    coeff = 1
-    remaining = n
-    for c in counts[:-1]:
-        coeff *= math.comb(remaining, c)
-        remaining -= c
-    return coeff
+def _binomial_row(n: int) -> list:
+    """[C(n, k) for k in 0..n], read-only, its two halves sharing their ints.
+    Row n - 1 from the previous call gives row n by Pascal's rule; any other n
+    takes the running exact product."""
+    global _half_row_cache
+    last, half = _half_row_cache
+    if last == n - 1:
+        prev = half + half[-1:] if n % 2 == 0 else half  # C(n-1, n/2) = C(n-1, n/2 - 1)
+        half = [1, *map(operator.add, prev, prev[1:])]
+    elif last != n:
+        half = [1]
+        for k in range(n // 2):
+            half.append(half[-1] * (n - k) // (k + 1))
+    _half_row_cache = (n, half)
+    return half + half[: n + 1 - len(half)][::-1]
+
+
+def _type_classes(n: int, m: int) -> tuple[np.ndarray, list]:
+    """Every composition of n into m parts, one per row, and its exact count
+    n!/prod(c_a!) as the product of the binomials C(n - c_0 - ... - c_(a-1), c_a)."""
+    triangle = list(itertools.chain.from_iterable(map(_binomial_row, range(n + 1))))  # C(r, c) at r(r+1)/2 + c
+    comps, rest, counts = np.zeros((1, 0), dtype=np.int64), np.array([n]), [1]
+    for _ in range(m - 1):  # the next letter takes 0..rest of what is left
+        width = rest + 1
+        row = np.repeat(np.arange(len(rest)), width)
+        first = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+        rest = rest[row]
+        binomials = map(triangle.__getitem__, (rest * (rest + 1) // 2 + first).tolist())
+        counts = list(map(operator.mul, map(counts.__getitem__, row.tolist()), binomials))
+        comps, rest = np.column_stack([comps[row], first]), rest - first
+    return np.column_stack([comps, rest]), counts
 
 
 def iid_spectrum(dist: FiniteDistribution, n: int) -> InformationSpectrum:
@@ -248,18 +279,13 @@ def iid_spectrum(dist: FiniteDistribution, n: int) -> InformationSpectrum:
         return _finish(np.array(iotas), dist.probs, [1] * m, n)
     if m == 2:
         i0, i1 = iotas
-        half = [1]  # C(n, k) for k <= n/2 by the running exact binomial
-        for k in range(n // 2):
-            half.append(half[-1] * (n - k) // (k + 1))
-        counts = half + half[: n + 1 - len(half)][::-1]
+        counts = _binomial_row(n)
         k = np.arange(n + 1, dtype=np.float64)
         infos = (n - k) * i0 + k * i1  # one correctly rounded add, as math.fsum of the two products
     else:
-        comps = list(_compositions(n, m))
-        counts = [_multinomial(n, comp) for comp in comps]
-        infos = np.array([math.fsum(c * it for c, it in zip(comp, iotas)) for comp in comps])
-    probs = [count_times_pstring(c, x) for c, x in zip(counts, infos.tolist())]
-    return _finish(infos, probs, counts, n)
+        comps, counts = _type_classes(n, m)
+        infos = np.fromiter(map(math.fsum, zip(*(comps * iotas).T.tolist())), np.float64, len(counts))
+    return _finish(infos, _pstring_column(counts, infos), counts, n)
 
 
 def markov_spectrum_exact(src: MarkovSource, n: int) -> InformationSpectrum:

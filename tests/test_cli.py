@@ -131,6 +131,12 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert json.loads(captured.err)["exit_code"] == 2
 
+    @pytest.mark.parametrize("doc", ['{"type": "geometric", "param": 1e-6}', '{"type": "poisson", "param": 1e8}'])
+    def test_countable_law_past_max_support_is_config_error(self, capsys, doc):
+        assert run_cli(["binning", "--source", doc, "--bins", "2", "--trials", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DistributionError" and "needs at least" in err["message"]
+
     def test_largest_bin_count_accepted(self, capsys):
         assert run_cli(["binning", "--source", B11_SRC, "--bins", str(2**63), "--trials", "1"]) == 0
 

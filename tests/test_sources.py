@@ -145,6 +145,17 @@ class TestCountable:
         with pytest.raises(DistributionError, match="tail_bound must lie in"):
             law(tail_bound)
 
+    @pytest.mark.parametrize(
+        "law, needed",
+        [(lambda: geometric_distribution(1e-6), r"geometric\(1e-06\) to 1 - 1e-12 needs at least 2763100\d"),
+         (lambda: poisson_distribution(1e8), r"poisson\(100000000.0\) to 1 - 1e-12 needs at least 10000001")],
+        ids=["geometric", "poisson"],
+    )
+    def test_law_past_max_support_is_rejected_before_its_pmf_runs(self, law, needed):
+        # evaluating the pmf symbol by symbol up to MAX_SUPPORT would take seconds
+        with pytest.raises(DistributionError, match=rf"{needed} symbols, more than {sources.MAX_SUPPORT}"):
+            law()
+
     def test_binomial_matches_comb(self):
         d = binomial_distribution(10, 0.5)
         assert d.probs[3] == pytest.approx(math.comb(10, 3) / 1024, rel=1e-12, abs=0.0)

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complimits.errors import BudgetExceededError, UnsupportedSpectrumError
+from complimits import spectrum
+from complimits.errors import BudgetExceededError, DistributionError, UnsupportedSpectrumError
 from complimits.sources import (
     FiniteDistribution,
     MarkovSource,
@@ -18,7 +20,9 @@ from complimits.sources import (
 )
 from complimits.spectrum import (
     MERGE_TOL,
+    InformationSpectrum,
     _finish,
+    _pstring_column,
     ccdf,
     cdf_values,
     count_heavier,
@@ -254,6 +258,24 @@ class TestColumnConstructors:
         assert s.probs.tolist() == [math.fsum([0.1, 0.2]), 0.7]
         assert s.counts == (3, 5)
 
+    def test_binomial_rows_do_not_depend_on_call_order(self):
+        # row n comes by Pascal's rule only when row n - 1 was the last one
+        # built; shuffled blocklengths with repeats, n - 1 right after n + 5,
+        # and 3-letter laws (which build rows 0..n) between 2-letter ones must
+        # all give what a from-scratch running product gives
+        ns = list(range(1, 41)) * 2
+        random.Random(3).shuffle(ns)
+        ns += [20, 20, 21, 27, 21, 22, 2, 1, 2, 3]
+        laws = [(0.89, 0.11), (0.2, 0.8), (0.5, 0.5), (0.6, 0.3, 0.1)]  # sorted, reversed, one merged mass
+        for i, n in enumerate(ns):
+            dist = FiniteDistribution(laws[i % len(laws)])
+            s = iid_spectrum(dist, n)
+            _assert_matches_reference(s, _ref_iid_triples(dist.probs, n))
+            if dist.probs == (0.5, 0.5):
+                assert s.counts == (2**n,)
+            last, half = spectrum._half_row_cache  # one row is kept, never more
+            assert n == 1 or (last == n and len(half) == n // 2 + 1)
+
     def test_certain_symbol_has_positive_zero_surprisal(self):
         s = iid_spectrum(FiniteDistribution((1.0, 0.0)), 3)
         assert s.counts == (1,)
@@ -264,6 +286,70 @@ class TestColumnConstructors:
         s = markov_spectrum_exact(cyc, 4)
         assert s.counts == (1,)
         assert math.copysign(1.0, float(s.infos[0])) == 1.0
+
+
+# (count, info) pairs on each side of every branch of count_times_pstring
+PSTRING_CASES = [
+    (2**53 - 1, 3.5), (2**53, 3.5), (2**53 + 1, 3.5), (2**54 - 1, 60.25),  # 53 and 54 bits
+    (7, 1000.0), (7, math.nextafter(1000.0, math.inf)), (2**53, 1000.0), (2**53 + 1, 1000.0),
+    (3, 1070.0), (1, 1079.5), (1, 1080.0), (1, math.nextafter(1080.0, math.inf)), (5, 1100.0),  # subnormal, cut
+    (2**60 - 1, 1140.0), (2**60 - 1, math.nextafter(1140.0, math.inf)),  # log2 rounds up to the bit length
+    (2**1100 + 12345, 1100.5), (3**700, 1109.5), (3**700, 2300.0), (2**1024, 1023.0),  # counts above 2^1024
+    (0, 0.0), (0, 1200.0), (5, 0.0), (2**70, 0.0), (-3, 2.0),
+]
+
+
+def _assert_column_is_scalar(counts, infos):
+    # as given (mass by mass when short) and repeated past _COLUMN_MIN (through NumPy)
+    reps = -(-spectrum._COLUMN_MIN // max(len(counts), 1))
+    for cs, xs in ((counts, infos), (counts * reps, infos * reps)):
+        col = _pstring_column(cs, xs)
+        ref = np.array([count_times_pstring(c, x) for c, x in zip(cs, xs)], dtype=np.float64)
+        assert col.tolist() == ref.tolist()
+        assert np.array_equal(col.view(np.int64), ref.view(np.int64))  # bit for bit, the sign of zero too
+
+
+class TestPstringColumn:
+    @pytest.mark.parametrize("count, info", PSTRING_CASES)
+    def test_one_mass(self, count, info):
+        _assert_column_is_scalar([count], [info])
+
+    def test_all_branches_in_one_column(self):
+        counts, infos = zip(*PSTRING_CASES)
+        _assert_column_is_scalar(list(counts), list(infos))
+
+    def test_empty_column(self):
+        assert _pstring_column([], []).tolist() == []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.one_of(st.integers(0, 2**60), st.integers(0, 2**1200)),
+                st.one_of(st.floats(0.0, 2500.0), st.sampled_from([1000.0, 1080.0, 1140.0, 0.0])),
+            ),
+            max_size=30,
+        )
+    )
+    def test_random_masses(self, pairs):
+        pairs = [(c, x) for c, x in pairs if c.bit_length() - x <= 1020]  # no overflow past 2^1024
+        _assert_column_is_scalar([c for c, _ in pairs], [x for _, x in pairs])
+
+    def test_overflow_raises_as_the_scalar_does(self):
+        with pytest.raises(OverflowError):
+            count_times_pstring(2**1100, 0.0)
+        with pytest.raises(OverflowError):
+            _pstring_column([5, 2**1100] * spectrum._COLUMN_MIN, [1.0, 0.0] * spectrum._COLUMN_MIN)
+
+
+class TestSpectrumChecks:
+    @pytest.mark.parametrize(
+        "probs", [[math.nan, 1.0], [1.0, math.nan], [0.0, 0.0], [math.inf, 1.0], [0.5, 0.4]],
+        ids=["nan_first", "nan_last", "zeros", "inf", "short"],
+    )
+    def test_probabilities_must_sum_to_one(self, probs):
+        with pytest.raises(DistributionError, match="sum to"):
+            InformationSpectrum([0.0, 1.0], probs, [1, 1], n=1, exact=True)
 
 
 class TestMarkovSpectrum:
