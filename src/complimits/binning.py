@@ -15,9 +15,10 @@ legitimate: the decoder simply guesses the global argmax.
 
 The Monte-Carlo cross-check reads one PCG64 stream per seed in a fixed
 order: the bins row-major by trial x symbol, then the realizations, then
-the tie picks.  It streams the bins in blocks of MC_BLOCK_CELLS trial-symbol
-cells, so its memory is O(MC_BLOCK_CELLS + 16 bytes x trials) for any
-support size; the block size never changes the estimate.
+the tie picks.  A jump passes the bins for N = 2^j; other N draw them twice.
+Bins stream in blocks of MC_BLOCK_CELLS trial-symbol cells, so memory is
+O(MC_BLOCK_CELLS + 16 bytes x trials) for any support size; the block size
+never changes the estimate.
 """
 
 from __future__ import annotations
@@ -150,14 +151,14 @@ def binning_error_mc(problem: BinningProblem, trials: int, seed: int) -> tuple[f
     with uniform tie-breaking.  Deterministic for a fixed seed.
 
     Stream order: PCG64(seed) yields every bin, row-major by trial x symbol,
-    then the trials' realizations, then their tie picks.  The bins are
-    streamed in blocks of MC_BLOCK_CELLS // |support| trials (at least one):
-    one generator draws and drops them to reach the realizations, a second
-    one from the same seed replays them block by block.  NumPy's bounded
-    integer draws keep their only state (the 32-bit half-word buffer
-    included) in the bit generator, so k draws of r rows equal one draw of
-    k*r rows and the block size never changes the estimate.  Memory is
-    O(MC_BLOCK_CELLS + 16 bytes x trials).
+    then the trials' realizations, then their tie picks.  One generator
+    reaches the realizations past the bins (``_skip_bins``: a jump for
+    N = 2^j, else drawn and dropped), a second one from the same seed
+    replays the bins in blocks of MC_BLOCK_CELLS // |support| trials (at
+    least one).  NumPy's bounded integer draws keep their only state (the
+    32-bit half-word buffer included) in the bit generator, so k draws of r
+    rows equal one draw of k*r rows and the block size never changes the
+    estimate.  Memory is O(MC_BLOCK_CELLS + 16 bytes x trials).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -177,18 +178,14 @@ def binning_error_mc(problem: BinningProblem, trials: int, seed: int) -> tuple[f
         if cls.equal_count > 1:
             tie_classes.append((pos, pos + cls.equal_count))
         pos += cls.equal_count
-    rows = max(1, MC_BLOCK_CELLS // m)
-    blocks = range(0, trials, rows)
-
     draw = np.random.Generator(np.random.PCG64(seed))
-    for a in blocks:
-        draw.integers(0, problem.n_bins, size=(min(rows, trials - a), m))
+    _skip_bins(draw, problem.n_bins, trials * m)
     realization = draw.choice(m, size=trials, p=probs)
     tie_pick = draw.random(trials)
 
     replay = np.random.Generator(np.random.PCG64(seed))
-    n_err = 0
-    for a in blocks:
+    n_err, rows = 0, max(1, MC_BLOCK_CELLS // m)
+    for a in range(0, trials, rows):
         b = min(a + rows, trials)
         # drawn in the call, so no block outlives its scoring
         n_err += _block_errors(replay.integers(0, problem.n_bins, size=(b - a, m)),
@@ -196,6 +193,22 @@ def binning_error_mc(problem: BinningProblem, trials: int, seed: int) -> tuple[f
     estimate = n_err / trials
     stderr = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)
     return estimate, stderr
+
+
+def _skip_bins(draw: np.random.Generator, n_bins: int, cells: int) -> None:
+    """Move a fresh ``draw`` (no buffered half-word) past ``cells`` int64 bins
+    below ``n_bins`` as drawing them would.  Lemire's method never rejects a
+    power-of-two range, so N = 2^j reads a fixed count: nothing at N = 1, a
+    64-bit word per bin above 2^32, else a 32-bit half-word (a word's low half
+    first, its high half buffered).  PCG64.advance jumps the whole words, an
+    odd last half-word is drawn; other N reject by the data, so are drawn."""
+    if n_bins & (n_bins - 1):
+        for a in range(0, cells, MC_BLOCK_CELLS):
+            draw.integers(0, n_bins, size=min(MC_BLOCK_CELLS, cells - a))
+    elif n_bins > 1:
+        words, odd = divmod(cells, 1 if n_bins > 1 << 32 else 2)
+        draw.bit_generator.advance(words)
+        draw.integers(0, n_bins, size=odd)
 
 
 def _block_errors(bins, real, tie_pick, order, class_start, tie_classes) -> int:

@@ -15,7 +15,9 @@ import argparse
 import hashlib
 import json
 import operator
+import os
 import sys
+import tempfile
 from itertools import compress
 from typing import Iterator, Sequence
 
@@ -84,19 +86,29 @@ def _write_output(args, headers: Sequence[str], rows: list[tuple], meta_extra: d
         "columns": list(headers),
     }
     meta.update(meta_extra)
-    if args.format == "json":
-        payload = {"columns": list(headers), "rows": [[_cell(v) for v in row] for row in rows], "meta": meta}
-        lines = [json.dumps(payload, sort_keys=True, indent=2) + "\n"]
-    else:
-        lines = _csv_lines(headers, rows)  # streamed: the table is never one string
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
-        with open(f"{args.output}.meta.json", "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    else:
-        sys.stdout.writelines(lines)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # Python >= 3.10.7; lifted so exact counts print
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "json":
+            payload = {"columns": list(headers), "rows": [[_cell(v) for v in row] for row in rows], "meta": meta}
+            lines = [json.dumps(payload, sort_keys=True, indent=2) + "\n"]
+        else:
+            lines = _csv_lines(headers, rows)  # streamed: the table is never one string
+        if args.output:
+            out = {args.output: lines, f"{args.output}.meta.json": [json.dumps(meta, sort_keys=True, indent=2) + "\n"]}
+            # written beside the target, then renamed: a failure leaves no new file, an old pair untouched
+            with tempfile.TemporaryDirectory(dir=os.path.dirname(os.path.abspath(args.output))) as tmp:
+                for path, text in out.items():
+                    with open(os.path.join(tmp, os.path.basename(path)), "w", encoding="utf-8") as fh:
+                        fh.writelines(text)
+                for path in out:
+                    os.replace(os.path.join(tmp, os.path.basename(path)), path)
+        else:
+            sys.stdout.writelines(lines)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _csv_lines(headers: Sequence[str], rows: list[tuple]) -> Iterator[str]:
@@ -186,7 +198,7 @@ def _cmd_spectrum(args) -> None:
     else:
         spec = exact_spectrum(source, args.n)
     headers = ("info_value_bits", "probability", "count")
-    rows = [(float(i), float(p), c) for i, p, c in zip(spec.infos, spec.probs, spec.counts)]
+    rows = list(zip(spec.infos.tolist(), spec.probs.tolist(), spec.counts))
     _write_output(args, headers, rows, {"n": spec.n, "exact": spec.exact, "sample_size": spec.sample_size})
 
 

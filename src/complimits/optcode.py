@@ -11,8 +11,8 @@ rank arithmetic over an exact information spectrum:
   fixed-to-fixed code mapping n symbols into k bits.
 - R_star(n, eps): smallest k/n whose excess probability is within eps.
 - Rbar(n): minimal expected rate, from the exact codelength distribution.
-- prefix_epsilon / prefix_R: the prefix-constrained counterparts, coupled to
-  the unconstrained limits by a one-bit shift.
+- prefix_epsilon: the prefix-constrained counterpart, coupled to the
+  unconstrained limit by a one-bit shift.
 
 Counts are arbitrary-precision integers throughout; a rank cut that lands
 inside a tie class splits the class mass proportionally to string counts.
@@ -43,7 +43,6 @@ __all__ = [
     "expected_length_equiprobable",
     "var_length_equiprobable",
     "prefix_epsilon",
-    "prefix_R",
     "prefix_epsilon_curve",
     "rate_on_curve",
 ]
@@ -105,7 +104,7 @@ def R_star(spec: InformationSpectrum, eps: float) -> float:
 
 def rate_on_curve(curve: Sequence[float], n: int, eps: float) -> float:
     """Smallest rate k/n with curve[k] <= eps: R_star(spec, eps) on
-    ``length_distribution(spec).tail`` and prefix_R(spec, eps) on its prefix curve."""
+    ``length_distribution(spec).tail``, the prefix-code rate on its prefix curve."""
     return _least_k(curve.__getitem__, len(curve) - 1, eps) / n
 
 
@@ -233,17 +232,6 @@ def prefix_epsilon(spec: InformationSpectrum, k: int) -> float:
     if (1 << (k - 1)) >= spec.total_count:
         return 0.0
     return epsilon_star(spec, k - 1)
-
-
-def prefix_R(spec: InformationSpectrum, eps: float) -> float:
-    """Smallest prefix-code rate i/n with excess probability at most eps.
-
-    Generally equal to R_star + 1/n; when the alphabet size is a power of two
-    and eps is below the least string mass the two rates coincide instead.
-    Both branches fall out of searching prefix_epsilon directly.
-    """
-    spec.require_exact("prefix_R")
-    return _least_k(lambda k: prefix_epsilon(spec, k), spec.total_count.bit_length() + 1, eps) / spec.n
 
 
 def prefix_epsilon_curve(spec: InformationSpectrum, curve: Sequence[float]) -> list[float]:

@@ -34,7 +34,6 @@ __all__ = [
     "entropy",
     "varentropy",
     "third_abs_moment",
-    "stationary_distribution",
     "markov_entropy_rate",
     "markov_varentropy_rate",
     "bernoulli",
@@ -87,15 +86,15 @@ class FiniteDistribution:
 
 
 def _truncated(
-    pmf: Callable[[int], float], tail_bound: float, name: str, needed: Callable[[float], float]
+    pmf: Callable[[int], float], tail_bound: float, name: str, needed: Callable[[float], float], exact: bool
 ) -> FiniteDistribution:
     """Finite law on k = 0, 1, ... holding at least 1 - tail_bound of a countable one.
 
-    ``needed(tail_bound)`` is a lower bound on the symbols that takes, so a
-    law that cannot fit MAX_SUPPORT is rejected before its pmf is evaluated.
-    With the default tail_bound of 1e-12 the kept masses already satisfy the
-    normalization invariant and the dropped tail sits far below display
-    precision; a fatter tail forces a renormalization.
+    ``needed(tail_bound)`` counts the symbols that takes, exactly if ``exact``
+    (a closed form), else as a lower bound with a compensated sum of the kept
+    masses deciding.  A law past MAX_SUPPORT is rejected before its pmf runs.
+    With the default tail_bound of 1e-12 the kept masses satisfy the
+    normalization invariant; a fatter tail forces a renormalization.
     """
     if not 0.0 < tail_bound < 1.0:
         raise DistributionError(f"tail_bound must lie in (0, 1), not {tail_bound!r}")
@@ -104,18 +103,21 @@ def _truncated(
         raise DistributionError(
             f"truncation of {name} to 1 - {tail_bound} needs at least {at_least:.0f} symbols, more than {MAX_SUPPORT}"
         )
-    probs, cum = [], 0.0
-    while cum < 1.0 - tail_bound:
+    probs, total, err, target = [], 0.0, 0.0, 1.0 - tail_bound
+    while len(probs) < at_least if exact else (total - target) + err < 0.0:
         if len(probs) == MAX_SUPPORT:
             raise DistributionError(
                 f"truncation of {name} did not reach 1 - {tail_bound} within {MAX_SUPPORT} symbols"
             )
-        probs.append(float(pmf(len(probs))))
-        cum += probs[-1]
+        p = float(pmf(len(probs)))
+        probs.append(p)
+        s = total + p
+        err += (total - s) + p if total >= p else (p - s) + total  # Neumaier: what rounding dropped
+        total = s
     deficit = 1.0 - math.fsum(probs)
-    if deficit > PROB_SUM_TOL:
-        # keep exact masses whenever allowed; renormalize only when the
-        # configured tail is too fat for the normalization invariant
+    if abs(deficit) > PROB_SUM_TOL:
+        # keep exact masses whenever allowed; renormalize only when the tail is
+        # too fat, or the rounded masses too heavy, for the normalization invariant
         probs = [p / (1.0 - deficit) for p in probs]
     return FiniteDistribution(probs)
 
@@ -124,9 +126,10 @@ def geometric_distribution(q: float, tail_bound: float = 1e-12) -> FiniteDistrib
     """Geometric law P(k) = q * (1-q)^k on k = 0, 1, 2, ..., truncated to 1 - tail_bound."""
     if not 0.0 < q < 1.0:
         raise DistributionError("geometric parameter must lie in (0, 1)")
-    # the first k symbols hold 1 - (1-q)^k
+    # the first k symbols hold 1 - (1-q)^k; the rounded masses sum to about
+    # 1 + (fl(1-q) - (1-q)) / q, too far off to decide the cut for small q
     return _truncated(
-        lambda k: q * (1.0 - q) ** k, tail_bound, f"geometric({q})", lambda t: math.log(t) / math.log1p(-q)
+        lambda k: q * (1.0 - q) ** k, tail_bound, f"geometric({q})", lambda t: math.log(t) / math.log1p(-q), True
     )
 
 
@@ -142,7 +145,7 @@ def poisson_distribution(lam: float, tail_bound: float = 1e-12) -> FiniteDistrib
         a = MAX_SUPPORT - 1  # Chernoff, for a < lam: P(k <= a) <= exp(a - lam) * (lam / a)^a
         return MAX_SUPPORT + 1 if lam > a and a - lam + a * math.log(lam / a) < math.log1p(-tail_bound) else 0
 
-    return _truncated(pmf, tail_bound, f"poisson({lam})", needed)
+    return _truncated(pmf, tail_bound, f"poisson({lam})", needed, False)
 
 
 def bernoulli(p: float) -> FiniteDistribution:
@@ -307,11 +310,6 @@ def _stationary_vector(kernel: np.ndarray, tol: float = 1e-15, max_iter: int = 5
     if residual > STATIONARY_TOL:
         raise ConvergenceError(f"stationary residual {residual:g} exceeds 1e-12")
     return pi
-
-
-def stationary_distribution(src: MarkovSource) -> FiniteDistribution:
-    """Unique stationary law of an irreducible chain, pi with pi P = pi."""
-    return FiniteDistribution(src.pi)
 
 
 def markov_entropy_rate(src: MarkovSource) -> float:

@@ -45,7 +45,6 @@ __all__ = [
     "markov_spectrum_mc",
     "ccdf",
     "cdf_values",
-    "count_heavier",
     "mean_info",
     "var_info",
 ]
@@ -369,16 +368,6 @@ def ccdf(spec: InformationSpectrum, a: float) -> float:
 def cdf_values(spec: InformationSpectrum) -> np.ndarray:
     """P[surprisal <= infos[i]] for every mass i, as compensated prefix sums."""
     return _kahan_prefix(spec.probs)
-
-
-def count_heavier(spec: InformationSpectrum, beta: float) -> int:
-    """Number of strings with probability strictly greater than 1/beta."""
-    spec.require_exact("count_heavier")
-    if beta < 1.0:
-        raise ValueError("beta must be at least 1")
-    level = math.log2(beta)
-    i = int(np.searchsorted(spec.infos, level - _query_tol(level), side="left"))
-    return spec.cum_counts[i - 1] if i > 0 else 0
 
 
 def mean_info(spec: InformationSpectrum) -> float:

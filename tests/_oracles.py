@@ -12,6 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from complimits.optcode import _least_k, prefix_epsilon
+from complimits.sources import FiniteDistribution
+from complimits.spectrum import _query_tol
+
 
 def enumerate_iid(probs, n):
     """All strings of n symbols: list of (prob, info, string) tuples."""
@@ -198,6 +202,33 @@ def q_inv_bisect(p, tol=1e-8):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def count_heavier(spec, beta):
+    """Number of strings with probability strictly greater than 1/beta, read
+    off the spectrum's cumulative counts."""
+    spec.require_exact("count_heavier")
+    if beta < 1.0:
+        raise ValueError("beta must be at least 1")
+    level = math.log2(beta)
+    i = int(np.searchsorted(spec.infos, level - _query_tol(level), side="left"))
+    return spec.cum_counts[i - 1] if i > 0 else 0
+
+
+def prefix_R(spec, eps):
+    """Smallest prefix-code rate i/n with excess probability at most eps.
+
+    Generally equal to R_star + 1/n; when the alphabet size is a power of two
+    and eps is below the least string mass the two rates coincide instead.
+    Both branches fall out of searching prefix_epsilon directly.
+    """
+    spec.require_exact("prefix_R")
+    return _least_k(lambda k: prefix_epsilon(spec, k), spec.total_count.bit_length() + 1, eps) / spec.n
+
+
+def stationary_distribution(src):
+    """Unique stationary law of an irreducible chain, pi with pi P = pi."""
+    return FiniteDistribution(src.pi)
 
 
 def heavier_count_integral(infos, probs, beta):

@@ -24,7 +24,6 @@ from complimits.sources import (
     geometric_distribution,
     markov_entropy_rate,
     markov_varentropy_rate,
-    stationary_distribution,
     uniform_distribution,
     varentropy,
 )
@@ -41,7 +40,6 @@ from complimits.optcode import (
     epsilon_star,
     expected_length_equiprobable,
     length_distribution,
-    prefix_R,
     prefix_epsilon,
     var_length_equiprobable,
 )
@@ -65,7 +63,9 @@ from _oracles import (
     enumerate_markov,
     exhaustive_binning_error,
     ks_sup_distance,
+    prefix_R,
     sorted_probs,
+    stationary_distribution,
 )
 from test_properties import (
     check_converse_inequalities,

@@ -155,13 +155,39 @@ TIE_LAWS = [
 ]
 
 
-def _assert_matches_inmemory(dist, trials_list, bins_list=(1, 2, 3, 5, 7, 16), seeds=(0, 1, 2)):
+# powers of two up to 2^63 are jumped past, 3, 5 and 7 drawn and dropped
+def _assert_matches_inmemory(dist, trials_list, bins_list=(1, 2, 3, 5, 7, 16, 2**32, 2**33, 2**63), seeds=(0, 1, 2)):
     for n_bins in bins_list:
         problem = BinningProblem(dist, n_bins)
         for trials in trials_list:
             for seed in seeds:
                 expected = inmemory_binning_error_mc(problem, trials, seed)
                 assert binning_error_mc(problem, trials, seed) == expected, (n_bins, trials, seed)
+
+
+def _next_draws(draw):
+    return (draw.integers(0, 5, size=3).tolist(), draw.random(3).tolist(),
+            draw.integers(0, 2**40, size=2).tolist(), draw.choice(4, size=3, p=[0.4, 0.3, 0.2, 0.1]).tolist())
+
+
+class TestSkipBins:
+    """After ``_skip_bins`` the stream continues exactly as after drawing the
+    bins, in one block or in several, so a change to how NumPy's bounded
+    integers consume PCG64 fails here rather than moving an estimate."""
+
+    @pytest.mark.parametrize("n_bins", [1, 2, 3, 7, 2**31, 2**32, 2**33, 2**63])
+    @pytest.mark.parametrize("cells", [1, 2, 7, 8, 1001, 2**20 + 1])
+    @pytest.mark.parametrize("blocks", ["one", "several"])
+    def test_next_draws_equal_those_after_drawn_bins(self, monkeypatch, n_bins, cells, blocks):
+        block = cells if blocks == "one" else cells // 4 | 1  # odd, so blocks end mid-word
+        # the drawn-and-dropped path of 3 and 7 streams in blocks of MC_BLOCK_CELLS
+        monkeypatch.setattr(binning, "MC_BLOCK_CELLS", block)
+        drawn = np.random.Generator(np.random.PCG64(11))
+        for a in range(0, cells, block):  # a half-word left by an odd block carries into the next
+            drawn.integers(0, n_bins, size=min(block, cells - a))
+        skipped = np.random.Generator(np.random.PCG64(11))
+        binning._skip_bins(skipped, n_bins, cells)
+        assert _next_draws(skipped) == _next_draws(drawn)
 
 
 class TestMonteCarloStreaming:
@@ -182,7 +208,7 @@ class TestMonteCarloStreaming:
         dist = TIE_LAWS[law]
         r = max(1, binning.MC_BLOCK_CELLS // len(dist))
         _assert_matches_inmemory(dist, [1, 20_001])
-        # each edge case draws about MC_BLOCK_CELLS bins twice, so fewer of them
+        # each edge case draws about MC_BLOCK_CELLS bins (twice at 7), so fewer of them
         _assert_matches_inmemory(dist, [r - 1, r, r + 1], bins_list=(2, 7), seeds=(0,))
 
     def test_traced_peak_memory_bounded(self):

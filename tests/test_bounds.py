@@ -281,7 +281,7 @@ class TestReferenceExpansion:
 class TestPrefixTransfer:
     def test_sandwich_shifts_by_one_over_n(self):
         # prefix rates inherit the iid sandwich displaced by exactly 1/n
-        from complimits.optcode import prefix_R
+        from _oracles import prefix_R
 
         for n in (50, 200, 1000):
             s = iid_spectrum(B11, n)

@@ -6,12 +6,13 @@ import sys
 
 import pytest
 
+from complimits import cli
 from complimits.cli import _fmt, _write_output, main
-from complimits.optcode import R_star, Rbar, epsilon_star, prefix_R, prefix_epsilon
+from complimits.optcode import R_star, Rbar, epsilon_star, prefix_epsilon
 from complimits.sources import bernoulli
 from complimits.spectrum import iid_spectrum
 
-from _oracles import exact_success_factor
+from _oracles import exact_success_factor, prefix_R
 
 B11_SRC = '{"type": "memoryless", "probs": [0.89, 0.11]}'
 CHAIN_SRC = '{"type": "markov", "kernel": [[0.9, 0.1], [0.2, 0.8]]}'
@@ -20,6 +21,18 @@ LAW3_SRC = '{"type": "memoryless", "probs": [0.5, 0.3, 0.2]}'  # C(n+2, 2) type 
 
 def run_cli(args):
     return main(list(args))
+
+
+def _decimal(value: int) -> str:
+    """str(value) at any size, whatever the process's int digit limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestExitCodes:
@@ -302,6 +315,47 @@ class TestSubcommands:
         assert run_cli(["spectrum", "--source", B11_SRC, "--n", "300", "-o", str(path)]) == 0
         row = path.read_text().strip().split("\n")[151]
         assert int(row.split(",")[2]) == math.comb(300, 150)
+
+    def test_counts_past_the_int_digit_limit_print_exactly(self, tmp_path):
+        # C(15000, 7500) has 4,514 digits, past Python's default limit of 4,300
+        path, n = tmp_path / "big.csv", 15_000
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        assert run_cli(["spectrum", "--source", B11_SRC, "--n", str(n), "-o", str(path)]) == 0
+        assert getattr(sys, "get_int_max_str_digits", int)() == limit
+        lines = path.read_text().split("\n")
+        assert len(lines) == n + 3 and lines[-1] == ""  # header, n + 1 masses, final newline
+        for k in [*range(0, n + 1, 500), 7499, 7501]:  # the row of k ones holds C(n, k)
+            assert lines[k + 1].rsplit(",", 1)[1] == _decimal(math.comb(n, k))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writer_prints_any_int_and_restores_the_limit(self, capsys, fmt):
+        big = 7**6000  # 5,071 digits
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        _write_output(argparse.Namespace(command="test", format=fmt, output=None), ["a"], [(big,)], {})
+        out = capsys.readouterr().out
+        assert getattr(sys, "get_int_max_str_digits", int)() == limit
+        cell = out.split("\n")[1] if fmt == "csv" else json.loads(out)["rows"][0][0]
+        assert cell == _decimal(big)
+
+    @pytest.mark.parametrize("old_pair", [False, True])
+    def test_failed_write_leaves_no_new_file_and_an_old_pair_untouched(self, tmp_path, monkeypatch, old_pair):
+        path = tmp_path / "out.csv"
+        argv = ["spectrum", "--source", B11_SRC, "--n", "40", "-o", str(path)]
+        if old_pair:
+            assert run_cli([*argv[:-3], "30", "-o", str(path)]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        calls = iter(range(60))
+
+        def failing_fmt(value):  # the writer fails part-way through the rows
+            if next(calls) == 59:
+                raise ValueError("injected")
+            return _fmt(value)
+
+        monkeypatch.setattr(cli, "_fmt", failing_fmt)
+        assert run_cli(argv) == 4
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert getattr(sys, "get_int_max_str_digits", int)() == limit
 
     def test_figure4_families(self, capsys):
         assert run_cli(["figure4"]) == 0

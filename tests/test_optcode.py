@@ -21,7 +21,6 @@ from complimits.optcode import (
     epsilon_star,
     expected_length_equiprobable,
     length_distribution,
-    prefix_R,
     prefix_epsilon,
     prefix_epsilon_curve,
     rank_cut,
@@ -38,6 +37,7 @@ from _oracles import (
     enumerate_iid,
     huffman_average,
     pointer_epsilon_curve,
+    prefix_R,
     sorted_probs,
     walk_length_distribution,
 )

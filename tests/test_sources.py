@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -20,13 +21,12 @@ from complimits.sources import (
     markov_entropy_rate,
     markov_varentropy_rate,
     poisson_distribution,
-    stationary_distribution,
     third_abs_moment,
     uniform_distribution,
     varentropy,
 )
 
-from _oracles import enumerate_markov, tilted_varentropy_rate
+from _oracles import enumerate_markov, stationary_distribution, tilted_varentropy_rate
 
 
 def binary_entropy(p):
@@ -155,6 +155,26 @@ class TestCountable:
         # evaluating the pmf symbol by symbol up to MAX_SUPPORT would take seconds
         with pytest.raises(DistributionError, match=rf"{needed} symbols, more than {sources.MAX_SUPPORT}"):
             law()
+
+    @pytest.mark.parametrize("q", [1e-4, 1e-5, 5e-5, 2e-5, 0.3, 0.9, 0.99])
+    def test_geometric_keeps_the_fewest_symbols_whose_dropped_tail_meets_the_bound(self, q):
+        # the exact tail (1-q)^k of the double q, at 60 digits; a float sum of
+        # the masses stopped up to 186,529 symbols early (1e-5) or never (2e-5)
+        kept = len(geometric_distribution(q))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            tail = lambda k: (1 - decimal.Decimal(q)) ** k
+            assert tail(kept) <= decimal.Decimal(1e-12) < tail(kept - 1)
+        assert kept == math.ceil(math.log(1e-12) / math.log1p(-q))
+
+    def test_monte_carlo_geometric_law_keeps_78_symbols(self):
+        assert len(geometric_distribution(0.3)) == 78
+
+    @pytest.mark.parametrize("lam", [3.0, 30.0, 1000.0])
+    def test_poisson_stops_where_the_exact_sum_of_its_masses_reaches_the_bound(self, lam):
+        pmf = [math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)) for k in range(int(2 * lam) + 60)]
+        stop = next(k for k in range(len(pmf)) if math.fsum(pmf[:k]) >= 1.0 - 1e-12)
+        assert poisson_distribution(lam).probs == tuple(p for p in pmf[:stop] if p > 0.0)
 
     def test_binomial_matches_comb(self):
         d = binomial_distribution(10, 0.5)

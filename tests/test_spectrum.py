@@ -25,7 +25,6 @@ from complimits.spectrum import (
     _pstring_column,
     ccdf,
     cdf_values,
-    count_heavier,
     count_times_pstring,
     iid_spectrum,
     markov_spectrum_exact,
@@ -34,7 +33,7 @@ from complimits.spectrum import (
     var_info,
 )
 
-from _oracles import enumerate_iid, enumerate_markov
+from _oracles import count_heavier, enumerate_iid, enumerate_markov
 
 B11 = bernoulli(0.11)
 # brute-force masses of two Bernoulli(0.11) draws
