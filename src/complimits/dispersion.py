@@ -4,7 +4,8 @@ For well-behaved sources (memoryless, ergodic Markov chains) the dispersion
 equals the varentropy rate, and the exact rank machinery turns that limit
 statement into finite-blocklength diagnostics: traces of Var(len)/n and
 Var(iota)/n, the exact second moment of the codelength-surprisal gap (both
-read off the one dyadic walk of ``optcode.length_distribution``), and the
+read off the one scalar pass of ``optcode.length_distribution``; the gap is
+summed from its pieces when read), and the
 normalized-dispersion curves sigma^2/H^2 over source families.
 
 ``exact_sweep`` holds the budget rule of every sweep over blocklengths (the

@@ -16,22 +16,21 @@ rank arithmetic over an exact information spectrum:
 
 Counts are arbitrary-precision integers throughout; a rank cut that lands
 inside a tie class splits the class mass proportionally to string counts.
-``length_distribution`` walks masses and dyadic rank blocks once per spectrum
-and returns the codelength law, the whole epsilon_star curve (one cut 2^k - 1
-per block) and the gap moment that ``dispersion`` reads; single questions
-(``epsilon_star``, ``R_star``) bisect for their cut with ``rank_cut``.
+``length_distribution`` walks masses and dyadic rank blocks in one scalar pass
+per spectrum: the codelength law, the whole epsilon_star curve (one cut 2^k - 1
+per block) and the pieces of the gap moment, summed when ``dispersion`` reads
+it.  Single questions (``epsilon_star``, ``R_star``) bisect with ``rank_cut``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .spectrum import InformationSpectrum, _pstring_column, count_times_pstring
+from .spectrum import InformationSpectrum, count_times_pstring
 
 __all__ = [
     "CodelengthDistribution",
@@ -46,6 +45,8 @@ __all__ = [
     "prefix_epsilon_curve",
     "rate_on_curve",
 ]
+
+_piece = count_times_pstring  # the walk's own binding: its calls stay inside optcode's trace span
 
 
 def rank_cut(spec: InformationSpectrum, threshold: int) -> float:
@@ -119,15 +120,15 @@ def Rbar(spec: InformationSpectrum) -> float:
 
 @dataclass(frozen=True)
 class CodelengthDistribution:
-    """Distribution of the optimal codelength: P[len = j] per length j, the
-    tail P[len >= k] = epsilon_star(k) for k = 0..len(lengths), and the gap
-    moment gap2 = E[(codelength - surprisal)^2]."""
+    """Distribution of the optimal codelength: P[len = j] per length j, the tail
+    P[len >= k] = epsilon_star(k) for k = 0..len(lengths), and the pieces as columns (codelength,
+    mass, surprisal), from which the gap moment gap2 = E[(len - surprisal)^2] is summed on first read."""
 
     n: int
     lengths: tuple
     probs: tuple
     tail: tuple
-    gap2: float
+    pieces: tuple = field(repr=False)
 
     def mean(self) -> float:
         return math.fsum(l * p for l, p in zip(self.lengths, self.probs))
@@ -136,49 +137,47 @@ class CodelengthDistribution:
         mu = self.mean()
         return math.fsum(p * (l - mu) ** 2 for l, p in zip(self.lengths, self.probs))
 
-
-def _dyadic_walk(spec: InformationSpectrum) -> tuple[list, list, list, list]:
-    """Walk masses and dyadic rank blocks together, once.
-
-    Returns the pieces as columns (length j, mass, surprisal), one piece per
-    part of a spectrum mass whose ranks fall in [2^j, 2^(j+1)), i.e. receive
-    codelength j; a tie class that straddles a block boundary is split by
-    exact string counts.  Also returns the tail [epsilon_star(k) for k in
-    0..L], L = total_count.bit_length(): the cut 2^k - 1 lands in some mass,
-    and the excess is the mass ranked after it plus the part of it past the
-    cut, as in ``rank_cut``.
-    """
-    lengths, takes, infos, cut_at, rests = [], [], [], [], []
-    j, consumed, cut = 0, 0, 1  # cut = 2^(j+1) - 1 closes the block of length j
-    for i, (end, info) in enumerate(zip(spec.cum_counts, spec.infos.tolist())):
-        while cut <= end:
-            lengths.append(j)
-            takes.append(cut - consumed)
-            infos.append(info)
-            cut_at.append(i)
-            rests.append(end - cut)
-            j, consumed, cut = j + 1, cut, 2 * cut + 1
-        if consumed < end:
-            lengths.append(j)
-            takes.append(end - consumed)
-            infos.append(info)
-            consumed = end
-    k_max = spec.total_count.bit_length() - 1  # a total of 2^L - 1 ends on the cut of k = L
-    at = np.array(cut_at[:k_max], dtype=np.int64)
-    cuts = spec.suffix_probs[at + 1] + _pstring_column(rests[:k_max], spec.infos[at])
-    return lengths, _pstring_column(takes, infos).tolist(), infos, [1.0, *cuts.tolist(), 0.0]
+    @cached_property
+    def gap2(self) -> float:
+        return math.fsum(m * (j - info) ** 2 for j, m, info in zip(*self.pieces))
 
 
 def length_distribution(spec: InformationSpectrum) -> CodelengthDistribution:
-    """Exact codelength distribution P[len = j] = P[rank in [2^j, 2^(j+1))],
-    with the epsilon_star tail and the gap moment from the same walk."""
+    """Exact codelength distribution P[len = j] = P[rank in [2^j, 2^(j+1))]
+    and the epsilon_star tail, in one pass over masses and rank blocks.
+
+    A piece is the part of a mass ranked in one block (exact string counts
+    split a tie class), and P[len = j] is summed as block j closes.  The cut
+    2^k - 1 lands in a mass: epsilon_star(k) is the mass ranked after it plus
+    the part past the cut, as in ``rank_cut``; past a mass's last cut, that part is its last piece.
+    """
     spec.require_exact("length_distribution")
-    lengths, masses, infos, tail = _dyadic_walk(spec)
-    n_lengths = spec.total_count.bit_length()
-    firsts = [bisect_left(lengths, j) for j in range(n_lengths + 1)]  # lengths only grow
-    probs = [math.fsum(masses[a:b]) for a, b in zip(firsts, firsts[1:])]
-    gap2 = math.fsum(m * (j - info) ** 2 for j, m, info in zip(lengths, masses, infos))
-    return CodelengthDistribution(spec.n, tuple(range(n_lengths)), tuple(probs), tuple(tail), gap2)
+    lengths, masses, infos = pieces = [], [], []
+    probs, tail = [], [1.0]
+    j, start, consumed, cut = 0, 0, 0, 1  # cut = 2^(j+1) - 1 closes block j, whose pieces begin at start
+    for after, end, info in zip(spec.suffix_probs[1:].tolist(), spec.cum_counts, spec.infos.tolist()):
+        if cut > end:
+            lengths.append(j)
+            masses.append(_piece(end - consumed, info))
+            infos.append(info)
+        while cut <= end:
+            lengths.append(j)
+            masses.append(_piece(cut - consumed, info))
+            infos.append(info)
+            probs.append(math.fsum(masses[start:]))
+            rest = _piece(end - cut, info)
+            tail.append(after + rest)
+            j, start, consumed, cut = j + 1, len(masses), cut, 2 * cut + 1
+            if cut > end and consumed < end:
+                lengths.append(j)
+                masses.append(rest)
+                infos.append(info)
+        consumed = end
+    n_lengths = spec.total_count.bit_length()  # a total of 2^L - 1 ends on the cut of k = L
+    probs.append(math.fsum(masses[start:]))
+    del probs[n_lengths:]
+    tail[n_lengths:] = [0.0]
+    return CodelengthDistribution(spec.n, tuple(range(n_lengths)), tuple(probs), tuple(tail), pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -237,5 +236,5 @@ def prefix_epsilon(spec: InformationSpectrum, k: int) -> float:
 def prefix_epsilon_curve(spec: InformationSpectrum, curve: Sequence[float]) -> list[float]:
     """[prefix_epsilon(spec, k) for k in 0..len(curve)], read off
     ``curve = length_distribution(spec).tail`` by the one-bit shift."""
-    total = spec.total_count
-    return [1.0] + [eps if (1 << k) < total else 0.0 for k, eps in enumerate(curve)]
+    live = (spec.total_count - 1).bit_length()  # 2^k < total exactly for k < live
+    return [1.0, *curve[:live], *[0.0] * (len(curve) - live)]

@@ -164,6 +164,23 @@ class TestEpsilonCurve:
         with pytest.raises(UnsupportedSpectrumError):
             length_distribution(mc)
 
+    @pytest.mark.parametrize(
+        "dist, n, total",
+        [
+            (FiniteDistribution((1.0,)), 3, 1),
+            (uniform_distribution(7), 1, 7),  # 2^3 - 1
+            (uniform_distribution(2), 3, 8),  # 2^3
+        ],
+    )
+    def test_prefix_curve_at_dyadic_totals(self, dist, n, total):
+        s = iid_spectrum(dist, n)
+        assert s.total_count == total
+        curve = length_distribution(s).tail
+        prefix = prefix_epsilon_curve(s, curve)
+        assert [x.hex() for x in prefix] == [prefix_epsilon(s, k).hex() for k in range(len(curve) + 1)]
+        # a cell still in play is the very object of the epsilon_star cell beside it
+        assert all(prefix[k + 1] is curve[k] for k in range(len(curve)) if (1 << k) < total)
+
 
 def _assert_matches_walk_references(spec):
     ld = length_distribution(spec)
@@ -189,10 +206,20 @@ class TestOneWalk:
             (uniform_distribution(1607), 1),  # a gap term where the C pow(x, 2) and x * x round apart
             (B11, 300),  # counts beyond 2^53
             (FiniteDistribution((0.999, 0.001)), 2000),  # probabilities underflow to 0
+            (FiniteDistribution((0.5,) + (1 / 64,) * 32), 1),  # masses of 1 and 32: cuts 3, 7, 15, 31 in one mass
+            (FiniteDistribution((0.4, 0.2, 0.2, 0.1, 0.1)), 1),  # masses of 1, 2, 2: cut 3 ends the middle one
         ],
     )
     def test_edge_spectra(self, dist, n):
         _assert_matches_walk_references(iid_spectrum(dist, n))
+
+    def test_gap_moment_is_summed_on_first_read(self):
+        s = iid_spectrum(B11, 40)
+        ld = length_distribution(s)
+        assert "gap2" not in vars(ld)
+        gap2 = ld.gap2
+        assert vars(ld)["gap2"] is gap2
+        assert gap2 == walk_length_distribution(s.counts, s.infos.tolist())[3]
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
