@@ -23,18 +23,17 @@ never changes the estimate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 import numpy as np
 
 from .errors import DistributionError
-from .spectrum import InformationSpectrum
+from .spectrum import InformationSpectrum, _finish
 from .sources import FiniteDistribution
 
-EQUAL_PROB_RTOL = 1e-12
 MC_BLOCK_CELLS = 1 << 20  # trial-symbol cells per streamed block of Monte-Carlo bins
 
 __all__ = [
@@ -62,43 +61,21 @@ class BinningProblem:
 
 @dataclass(frozen=True)
 class MassProfile:
-    """One equal-probability class: per-string probability, class size J,
-    and the exact count M of strictly heavier strings."""
+    """One equal-probability class: its probability (J strings together), its
+    size J, and the exact count M of strictly heavier strings."""
 
-    per_string_prob: float
+    class_prob: float
     equal_count: int
     heavier_count: int
 
 
 def mass_profile(dist: Union[FiniteDistribution, InformationSpectrum]) -> list[MassProfile]:
-    """Equal-probability classes in decreasing probability order.
-
-    ``heavier_count`` is strictly monotone across classes.  Probabilities
-    within a relative 1e-12 of each other are treated as equal, matching the
-    spectrum's mass-merge convention.
-    """
-    if isinstance(dist, InformationSpectrum):
-        classes = []
-        heavier = 0
-        for i, count in enumerate(dist.counts):
-            classes.append(MassProfile(dist.per_string_prob(i), count, heavier))
-            heavier += count
-        return classes
-    probs = sorted(dist.probs, reverse=True)
-    classes = []
-    heavier = 0
-    group_p = probs[0]
-    group_j = 0
-    for p in probs:
-        if abs(p - group_p) <= EQUAL_PROB_RTOL * group_p:
-            group_j += 1
-        else:
-            classes.append(MassProfile(group_p, group_j, heavier))
-            heavier += group_j
-            group_p = p
-            group_j = 1
-    classes.append(MassProfile(group_p, group_j, heavier))
-    return classes
+    """Equal-probability classes in decreasing probability order: the masses of
+    a spectrum, so ties are its merged masses (surprisals within MERGE_TOL bits).
+    A distribution goes through its blocklength-1 spectrum."""
+    if isinstance(dist, FiniteDistribution):  # as iid_spectrum at n = 1, without its type-class budget
+        dist = _finish(np.array([0.0 - math.log2(p) for p in dist.probs]), dist.probs, [1] * len(dist), 1)
+    return list(map(MassProfile, dist.probs.tolist(), dist.counts, itertools.accumulate(dist.counts, initial=0)))
 
 
 def _log_q_power(count: int, log_q: float) -> float:
@@ -137,9 +114,7 @@ def binning_error_exact(problem: BinningProblem) -> float:
     counts as error too."""
     terms = [1.0]
     for cls in mass_profile(problem.dist):
-        # J p exactly rounded, also for class sizes beyond double range
-        class_prob = float(Fraction(cls.per_string_prob) * cls.equal_count)
-        terms += (-class_prob, class_prob * _error_factor(problem.n_bins, cls.equal_count, cls.heavier_count))
+        terms += (-cls.class_prob, cls.class_prob * _error_factor(problem.n_bins, cls.equal_count, cls.heavier_count))
     return math.fsum(terms)
 
 

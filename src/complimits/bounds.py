@@ -8,11 +8,9 @@ third absolute central moment mu3):
 - an optimized information-spectrum converse for the codelength CCDF,
 - memoryless achievability and converse bounds with explicit constants,
   valid respectively for all n and for n above an explicit threshold,
-- the classical four-term expansion (shipped as a labelled reference curve
-  only: its derivation is contested and no validity check is attempted),
 - Markov-chain bounds that take as an argument a Berry-Esseen constant A
   that theory does not make explicit, plus a Monte-Carlo calibrator for A,
-- blocklength requirements n_star (approximate and exact).
+- the Gaussian approximation of the blocklength requirement n_star.
 
 Each Gaussian bound checks its inputs once, in :func:`_lam`: positive
 varentropy, eps inside the bound's domain and n >= 1.  Bound values are
@@ -23,14 +21,12 @@ value is still reported with ``valid=False`` so sweeps can plot it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .optcode import R_star
 from .spectrum import InformationSpectrum, ccdf, markov_spectrum_mc
 from .sources import (
     FiniteDistribution,
@@ -54,16 +50,13 @@ __all__ = [
     "gaussian_Phi",
     "R_upper_quantile",
     "converse_optimized",
-    "codelength_vs_info_check",
     "approx_Rstar",
     "achievability_iid",
     "converse_iid",
-    "reference_expansion",
     "markov_achievability",
     "markov_converse",
     "markov_be_calibrate",
     "n_star_approx",
-    "n_star_exact",
 ]
 
 
@@ -196,30 +189,6 @@ def converse_optimized(spec: InformationSpectrum, k: int) -> BoundReport:
     return BoundReport(best, True)
 
 
-def codelength_vs_info_check(
-    dist: FiniteDistribution,
-    lengths: Sequence[int],
-    tau: float,
-    prefix: bool = False,
-) -> tuple[float, float]:
-    """Probability that a code undershoots the surprisal, and its ceiling.
-
-    For an arbitrary injective code: P[len(f(X)) <= iota(X) - tau] is at most
-    2^(-tau) (floor(log2 |support|) + 1).  For a prefix code the event is the
-    strict undershoot P[len < iota - tau] and the ceiling improves to
-    2^(-tau) by Kraft's inequality (checked).  Returns (left side, ceiling).
-    """
-    if len(lengths) != len(dist):
-        raise ValueError("need one codeword length per support symbol")
-    if prefix:
-        kraft = math.fsum(2.0 ** -l for l in lengths)
-        if kraft > 1.0 + 1e-12:
-            raise ValueError(f"not a prefix code: Kraft sum {kraft}")
-    undershoots = operator.lt if prefix else operator.le
-    left = math.fsum(p for p, l in zip(dist.probs, lengths) if undershoots(l, -math.log2(p) - tau))
-    return left, (2.0 ** (-tau) if prefix else 2.0 ** (-tau) * len(dist).bit_length())
-
-
 # ---------------------------------------------------------------------------
 # Memoryless Gaussian bounds
 # ---------------------------------------------------------------------------
@@ -266,22 +235,6 @@ def converse_iid(params: GaussianParams, n: int, eps: float) -> BoundReport:
     n0 = 0.25 * (1.0 + params.mu3 / (2.0 * sigma ** 3)) ** 2 / (gaussian_phi(lam) * lam) ** 2
     value = _gauss3(params, n, lam) - (params.mu3 / 2.0 + sigma ** 3) / (n * params.sigma2 * gaussian_phi(lam))
     return BoundReport(value, n > n0, n0=n0)
-
-
-def reference_expansion(params: GaussianParams, n: int, eps: float) -> float:
-    """Four-term reference expansion of R_star (non-rigorous, plot-only).
-
-    H + sigma Q^-1(eps)/sqrt(n) - log2(2 pi sigma^2 n e^(Q^-1(eps)^2))/(2n)
-      + mu3 (Q^-1(eps)^2 - 1)/(6 sigma^2 n).
-    The non-lattice assumption behind it is deliberately not checked.  eps in (0, 1).
-    """
-    lam = _lam(params, n, eps, high=1.0)
-    return (
-        params.H
-        + params.sigma * lam / math.sqrt(n)
-        - (math.log2(2.0 * math.pi * params.sigma2 * n) + lam * lam * LOG2E) / (2.0 * n)
-        + params.mu3 * (lam * lam - 1.0) / (6.0 * params.sigma2 * n)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -376,25 +329,3 @@ def n_star_approx(params: GaussianParams, rate: float, eps: float) -> int:
     value = (params.sigma2 / params.H ** 2) * (lam / eta) ** 2
     return max(1, math.ceil(value))
 
-
-def n_star_exact(
-    spectrum_factory: Callable[[int], InformationSpectrum],
-    rate: float,
-    eps: float,
-    window: int = 50,
-    n_max: int = 100_000,
-) -> int:
-    """Exact smallest n with R_star(n, eps) <= rate, oscillation-guarded.
-
-    R_star is not monotone in n, so a single satisfying blocklength can be a
-    fluke dip; the first n opening a run of ``window`` >= 1 consecutive
-    satisfying blocklengths is returned instead.
-    """
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    run = 0
-    for n in range(1, n_max + 1):
-        run = run + 1 if R_star(spectrum_factory(n), eps) <= rate + 1e-12 else 0
-        if run == window:
-            return n - window + 1
-    raise ValueError(f"no run of {window} satisfying blocklengths found below {n_max}")

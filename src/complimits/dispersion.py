@@ -1,12 +1,11 @@
 """Source dispersion, and the blocklength sweep every exact table runs on.
 
-For well-behaved sources (memoryless, ergodic Markov chains) the dispersion
-equals the varentropy rate, and the exact rank machinery turns that limit
-statement into finite-blocklength diagnostics: traces of Var(len)/n and
-Var(iota)/n, the exact second moment of the codelength-surprisal gap (both
-read off the one scalar pass of ``optcode.length_distribution``; the gap is
-summed from its pieces when read), and the
-normalized-dispersion curves sigma^2/H^2 over source families.
+For memoryless sources and ergodic Markov chains the dispersion equals the
+varentropy rate.  ``dispersion_estimate`` traces Var(len)/n and Var(iota)/n
+toward it, next to the exact second moment of the codelength-surprisal gap;
+Var(len) and the gap come from the one scalar pass of
+``optcode.length_distribution``.  ``normalized_dispersion`` gives sigma^2/H^2
+for the source-family curves.
 
 ``exact_sweep`` holds the budget rule of every sweep over blocklengths (the
 ``limits``, ``bounds``, ``figure2``/``figure3`` and ``dispersion`` tables):
@@ -19,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .bounds import gaussian_Q_inv
 from .errors import BudgetExceededError
-from .optcode import R_star, length_distribution
+from .optcode import length_distribution
 from .spectrum import (
     InformationSpectrum,
     iid_spectrum,
@@ -33,7 +31,6 @@ from .sources import (
     MarkovSource,
     SourceSpec,
     entropy,
-    markov_entropy_rate,
     markov_varentropy_rate,
     varentropy,
 )
@@ -44,7 +41,6 @@ __all__ = [
     "exact_sweep",
     "dispersion_estimate",
     "normalized_dispersion",
-    "rd_characterization_check",
 ]
 
 
@@ -124,38 +120,4 @@ def normalized_dispersion(dist: FiniteDistribution) -> float:
     if h <= 0.0:
         raise ValueError("normalized dispersion needs strictly positive entropy")
     return varentropy(dist) / (h * h)
-
-
-def rd_characterization_check(
-    source: SourceSpec,
-    eps_list: Sequence[float],
-    n_list: Sequence[int],
-) -> list[dict]:
-    """Convergence table of n ((R_star - H)/Q^-1(eps))^2 toward sigma^2.
-
-    Diagnostic only: the log-blocklength bias in R_star is still visible at
-    desk-scale n, so entries approach sigma^2 slowly from below.
-    """
-    if isinstance(source, MarkovSource):
-        h, sigma2 = markov_entropy_rate(source), markov_varentropy_rate(source)
-    else:
-        h, sigma2 = entropy(source), varentropy(source)
-    if sigma2 <= 0.0:
-        raise ValueError("characterization requires nonzero varentropy")
-    rows = []
-    for n in n_list:
-        spec = exact_spectrum(source, n)
-        for eps in eps_list:
-            lam = gaussian_Q_inv(eps)
-            value = n * ((R_star(spec, eps) - h) / lam) ** 2
-            rows.append(
-                {
-                    "n": n,
-                    "eps": eps,
-                    "value_bits2": value,
-                    "sigma2_bits2": sigma2,
-                    "ratio": value / sigma2,
-                }
-            )
-    return rows
 

@@ -11,8 +11,8 @@ rank arithmetic over an exact information spectrum:
   fixed-to-fixed code mapping n symbols into k bits.
 - R_star(n, eps): smallest k/n whose excess probability is within eps.
 - Rbar(n): minimal expected rate, from the exact codelength distribution.
-- prefix_epsilon: the prefix-constrained counterpart, coupled to the
-  unconstrained limit by a one-bit shift.
+- the prefix-constrained excess probabilities, coupled to the unconstrained
+  curve by a one-bit shift (``prefix_epsilon_curve``).
 
 Counts are arbitrary-precision integers throughout; a rank cut that lands
 inside a tie class splits the class mass proportionally to string counts.
@@ -39,9 +39,6 @@ __all__ = [
     "R_star",
     "Rbar",
     "length_distribution",
-    "expected_length_equiprobable",
-    "var_length_equiprobable",
-    "prefix_epsilon",
     "prefix_epsilon_curve",
     "rate_on_curve",
 ]
@@ -180,61 +177,9 @@ def length_distribution(spec: InformationSpectrum) -> CodelengthDistribution:
     return CodelengthDistribution(spec.n, tuple(range(n_lengths)), tuple(probs), tuple(tail), pieces)
 
 
-# ---------------------------------------------------------------------------
-# Equiprobable closed forms
-# ---------------------------------------------------------------------------
-
-
-def expected_length_equiprobable(m_outcomes: int) -> float:
-    """Mean optimal codelength for a uniform distribution on m outcomes.
-
-    Closed form  floor(log2 M) + (2 + floor(log2 M) - 2^(floor(log2 M)+1))/M.
-    """
-    if m_outcomes < 1:
-        raise ValueError("need at least one outcome")
-    level = m_outcomes.bit_length() - 1
-    return level + (2 + level - (1 << (level + 1))) / m_outcomes
-
-
-def var_length_equiprobable(m_outcomes: int) -> float:
-    """Variance of the optimal codelength for a uniform law on m outcomes.
-
-    Uses the exact second moment built from s(K) = sum_{i<=K} i^2 2^i
-    = -6 + 2^(K+1) (3 - 2K + K^2); the variance oscillates with the dyadic
-    position of M and never converges (limit points 2 and 2.25).
-    """
-    if m_outcomes < 1:
-        raise ValueError("need at least one outcome")
-    level = m_outcomes.bit_length() - 1
-    s = -6 + (1 << (level + 1)) * (3 - 2 * level + level * level)
-    second = (s - level * level * ((1 << (level + 1)) - m_outcomes - 1)) / m_outcomes
-    mean = expected_length_equiprobable(m_outcomes)
-    return second - mean * mean
-
-
-# ---------------------------------------------------------------------------
-# Prefix-code counterparts
-# ---------------------------------------------------------------------------
-
-
-def prefix_epsilon(spec: InformationSpectrum, k: int) -> float:
-    """Smallest P[len >= k] over prefix codes.
-
-    Coupled one-for-one to the unconstrained limit: the best prefix code
-    gives length k-1 codewords to the 2^(k-1) - 1 most likely strings, so
-    prefix_epsilon(k) = epsilon_star(k-1) until k-1 bits already index every
-    positive-probability string, after which it is exactly 0.
-    """
-    spec.require_exact("prefix_epsilon")
-    if k <= 0:
-        return 1.0
-    if (1 << (k - 1)) >= spec.total_count:
-        return 0.0
-    return epsilon_star(spec, k - 1)
-
-
 def prefix_epsilon_curve(spec: InformationSpectrum, curve: Sequence[float]) -> list[float]:
-    """[prefix_epsilon(spec, k) for k in 0..len(curve)], read off
-    ``curve = length_distribution(spec).tail`` by the one-bit shift."""
+    """Smallest P[len >= k] over prefix codes for k in 0..len(curve), read off
+    ``curve = length_distribution(spec).tail`` by the one-bit shift: epsilon_star(k-1),
+    or exactly 0 once k-1 bits index every positive-probability string."""
     live = (spec.total_count - 1).bit_length()  # 2^k < total exactly for k < live
     return [1.0, *curve[:live], *[0.0] * (len(curve) - live)]

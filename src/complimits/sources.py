@@ -126,10 +126,12 @@ def geometric_distribution(q: float, tail_bound: float = 1e-12) -> FiniteDistrib
     """Geometric law P(k) = q * (1-q)^k on k = 0, 1, 2, ..., truncated to 1 - tail_bound."""
     if not 0.0 < q < 1.0:
         raise DistributionError("geometric parameter must lie in (0, 1)")
-    # the first k symbols hold 1 - (1-q)^k; the rounded masses sum to about
-    # 1 + (fl(1-q) - (1-q)) / q, too far off to decide the cut for small q
+    # the first k symbols hold 1 - (1-q)^k, so the cut is a closed form; each
+    # mass goes through log1p(-q), since fl(1-q)^k would carry the rounding of
+    # 1 - q k times (about 1e-10 relative at q = 1e-5)
+    log_keep = math.log1p(-q)
     return _truncated(
-        lambda k: q * (1.0 - q) ** k, tail_bound, f"geometric({q})", lambda t: math.log(t) / math.log1p(-q), True
+        lambda k: q * math.exp(k * log_keep), tail_bound, f"geometric({q})", lambda t: math.log(t) / log_keep, True
     )
 
 

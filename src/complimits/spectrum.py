@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import sys
 from typing import Sequence
 
 import numpy as np
@@ -167,22 +166,6 @@ class InformationSpectrum:
     def require_exact(self, op: str) -> None:
         if not self.exact:
             raise UnsupportedSpectrumError(f"{op} requires an exact spectrum, not Monte-Carlo")
-
-    def per_string_prob(self, index: int) -> float:
-        """Probability of one string belonging to mass ``index``."""
-        return 2.0 ** (-float(self.infos[index]))
-
-    def self_check(self) -> float:
-        """Max relative mismatch between stored probs and count * 2^(-info).
-
-        Masses below the smallest normal double (``sys.float_info.min``) are
-        skipped: subnormals carry too few significant bits for a relative
-        residual to mean anything.
-        """
-        ref = _pstring_column(self.counts, self.infos)
-        scale = np.maximum(ref, self.probs)
-        normal = scale >= sys.float_info.min
-        return float(np.max(np.abs(ref - self.probs)[normal] / scale[normal], initial=0.0))
 
 
 def _finish(infos: np.ndarray, probs: Sequence[float], counts: Sequence[int], n: int) -> InformationSpectrum:

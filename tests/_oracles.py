@@ -8,13 +8,15 @@ independent routes to the same quantity.
 import heapq
 import itertools
 import math
+import operator
+import sys
 from fractions import Fraction
 
 import numpy as np
 
-from complimits.optcode import _least_k, prefix_epsilon
+from complimits.optcode import _least_k, epsilon_star
 from complimits.sources import FiniteDistribution
-from complimits.spectrum import _query_tol
+from complimits.spectrum import _pstring_column, _query_tol
 
 
 def enumerate_iid(probs, n):
@@ -215,6 +217,22 @@ def count_heavier(spec, beta):
     return spec.cum_counts[i - 1] if i > 0 else 0
 
 
+def prefix_epsilon(spec, k):
+    """Smallest P[len >= k] over prefix codes, one k at a time.
+
+    Coupled one-for-one to the unconstrained limit: the best prefix code
+    gives length k-1 codewords to the 2^(k-1) - 1 most likely strings, so
+    prefix_epsilon(k) = epsilon_star(k-1) until k-1 bits already index every
+    positive-probability string, after which it is exactly 0.
+    """
+    spec.require_exact("prefix_epsilon")
+    if k <= 0:
+        return 1.0
+    if (1 << (k - 1)) >= spec.total_count:
+        return 0.0
+    return epsilon_star(spec, k - 1)
+
+
 def prefix_R(spec, eps):
     """Smallest prefix-code rate i/n with excess probability at most eps.
 
@@ -394,3 +412,62 @@ def inmemory_binning_error_mc(problem, trials, seed):
     estimate = float(errors.mean())
     stderr = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)
     return estimate, stderr
+
+
+def expected_length_equiprobable(m_outcomes):
+    """Mean optimal codelength for a uniform distribution on m outcomes.
+
+    Closed form  floor(log2 M) + (2 + floor(log2 M) - 2^(floor(log2 M)+1))/M.
+    """
+    if m_outcomes < 1:
+        raise ValueError("need at least one outcome")
+    level = m_outcomes.bit_length() - 1
+    return level + (2 + level - (1 << (level + 1))) / m_outcomes
+
+
+def var_length_equiprobable(m_outcomes):
+    """Variance of the optimal codelength for a uniform law on m outcomes.
+
+    Uses the exact second moment built from s(K) = sum_{i<=K} i^2 2^i
+    = -6 + 2^(K+1) (3 - 2K + K^2); the variance oscillates with the dyadic
+    position of M and never converges (limit points 2 and 2.25).
+    """
+    if m_outcomes < 1:
+        raise ValueError("need at least one outcome")
+    level = m_outcomes.bit_length() - 1
+    s = -6 + (1 << (level + 1)) * (3 - 2 * level + level * level)
+    second = (s - level * level * ((1 << (level + 1)) - m_outcomes - 1)) / m_outcomes
+    mean = expected_length_equiprobable(m_outcomes)
+    return second - mean * mean
+
+
+def codelength_vs_info_check(dist, lengths, tau, prefix=False):
+    """Probability that a code undershoots the surprisal, and its ceiling.
+
+    For an arbitrary injective code: P[len(f(X)) <= iota(X) - tau] is at most
+    2^(-tau) (floor(log2 |support|) + 1).  For a prefix code the event is the
+    strict undershoot P[len < iota - tau] and the ceiling improves to
+    2^(-tau) by Kraft's inequality (checked).  Returns (left side, ceiling).
+    """
+    if len(lengths) != len(dist):
+        raise ValueError("need one codeword length per support symbol")
+    if prefix:
+        kraft = math.fsum(2.0 ** -l for l in lengths)
+        if kraft > 1.0 + 1e-12:
+            raise ValueError(f"not a prefix code: Kraft sum {kraft}")
+    undershoots = operator.lt if prefix else operator.le
+    left = math.fsum(p for p, l in zip(dist.probs, lengths) if undershoots(l, -math.log2(p) - tau))
+    return left, (2.0 ** (-tau) if prefix else 2.0 ** (-tau) * len(dist).bit_length())
+
+
+def spectrum_self_check(spec):
+    """Max relative mismatch between a spectrum's stored probs and count * 2^(-info).
+
+    Masses below the smallest normal double (``sys.float_info.min``) are
+    skipped: subnormals carry too few significant bits for a relative
+    residual to mean anything.
+    """
+    ref = _pstring_column(spec.counts, spec.infos)
+    scale = np.maximum(ref, spec.probs)
+    normal = scale >= sys.float_info.min
+    return float(np.max(np.abs(ref - spec.probs)[normal] / scale[normal], initial=0.0))

@@ -34,15 +34,7 @@ from complimits.spectrum import (
     markov_spectrum_mc,
     var_info,
 )
-from complimits.optcode import (
-    R_star,
-    Rbar,
-    epsilon_star,
-    expected_length_equiprobable,
-    length_distribution,
-    prefix_epsilon,
-    var_length_equiprobable,
-)
+from complimits.optcode import R_star, Rbar, epsilon_star, length_distribution
 from complimits.bounds import (
     GaussianParams,
     R_upper_quantile,
@@ -62,10 +54,13 @@ from _oracles import (
     enumerate_iid,
     enumerate_markov,
     exhaustive_binning_error,
+    expected_length_equiprobable,
     ks_sup_distance,
     prefix_R,
+    prefix_epsilon,
     sorted_probs,
     stationary_distribution,
+    var_length_equiprobable,
 )
 from test_properties import (
     check_converse_inequalities,

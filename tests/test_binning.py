@@ -28,7 +28,7 @@ class TestMassProfile:
         d = FiniteDistribution((0.5, 0.25, 0.125, 0.125))
         classes = mass_profile(d)
         assert [(c.equal_count, c.heavier_count) for c in classes] == [(1, 0), (1, 1), (2, 2)]
-        assert classes[2].per_string_prob == pytest.approx(0.125)
+        assert classes[2].class_prob / classes[2].equal_count == pytest.approx(0.125)
 
     def test_classes_from_spectrum(self):
         s = iid_spectrum(bernoulli(0.11), 2)

@@ -19,7 +19,6 @@ from complimits.bounds import (
     R_upper_quantile,
     achievability_iid,
     approx_Rstar,
-    codelength_vs_info_check,
     converse_iid,
     converse_optimized,
     gaussian_Q,
@@ -29,11 +28,9 @@ from complimits.bounds import (
     markov_be_calibrate,
     markov_converse,
     n_star_approx,
-    n_star_exact,
-    reference_expansion,
 )
 
-from _oracles import q_inv_bisect
+from _oracles import codelength_vs_info_check, q_inv_bisect
 
 B11 = bernoulli(0.11)
 P11 = GaussianParams.from_distribution(B11)
@@ -243,39 +240,14 @@ class TestApproxAndIidBounds:
             approx_Rstar,
             achievability_iid,
             converse_iid,
-            reference_expansion,
             lambda p, n, e: markov_achievability(p, n, e, 0.8),
             lambda p, n, e: markov_converse(p, n, e, 0.8),
         ],
-        ids=["approx", "achievability", "converse", "reference", "markov_achievability", "markov_converse"],
+        ids=["approx", "achievability", "converse", "markov_achievability", "markov_converse"],
     )
     def test_blocklength_zero_rejected(self, bound):
         with pytest.raises(ValueError, match="n must be at least 1"):
             bound(P11, 0, 0.1)
-
-
-class TestReferenceExpansion:
-    def test_median_reduction(self):
-        n = 500
-        expected = (
-            P11.H
-            - math.log2(2 * math.pi * P11.sigma2 * n) / (2 * n)
-            - P11.mu3 / (6 * P11.sigma2 * n)
-        )
-        assert reference_expansion(P11, n, 0.5) == pytest.approx(expected, abs=1e-14)
-
-    def test_close_to_approx_asymptotically(self):
-        # difference times n approaches a constant; at eps=0.1 the constant is
-        # |log2(2 pi sigma^2)/2 + lam^2 log2(e)/2 - mu3 (lam^2-1)/(6 sigma^2)| ~ 2.17
-        lam = gaussian_Q_inv(0.1)
-        const = (
-            0.5 * (math.log2(2 * math.pi * P11.sigma2) + lam * lam * math.log2(math.e))
-            - P11.mu3 * (lam * lam - 1) / (6 * P11.sigma2)
-        )
-        for n in (100, 2000, 100_000):
-            gap = approx_Rstar(P11, n, 0.1) - reference_expansion(P11, n, 0.1)
-            assert gap * n == pytest.approx(const, abs=1e-9)
-        assert const == pytest.approx(2.167, abs=1e-3)
 
 
 class TestPrefixTransfer:
@@ -373,22 +345,3 @@ class TestBlocklengthRequirement:
     def test_rate_below_entropy_rejected(self):
         with pytest.raises(ValueError):
             n_star_approx(P11, 0.9 * P11.H, 0.1)
-
-    def test_exact_search_with_window(self):
-        factory = lambda n: iid_spectrum(B11, n)
-        n_star = n_star_exact(factory, 0.55, 0.1, window=50)
-        # verify: run starts at n_star and every earlier n fails or is a fluke dip
-        assert R_star(factory(n_star), 0.1) <= 0.55 + 1e-12
-        for n in range(n_star, n_star + 50):
-            assert R_star(factory(n), 0.1) <= 0.55 + 1e-12
-        before = [R_star(factory(n), 0.1) <= 0.55 + 1e-12 for n in range(max(1, n_star - 60), n_star)]
-        runs = 0
-        best = 0
-        for ok in before:
-            runs = runs + 1 if ok else 0
-            best = max(best, runs)
-        assert best < 50  # no confirmed earlier run
-
-    def test_exact_search_rejects_empty_window(self):
-        with pytest.raises(ValueError):
-            n_star_exact(lambda n: iid_spectrum(B11, n), 0.55, 0.1, window=0)

@@ -8,11 +8,11 @@ import pytest
 
 from complimits import cli
 from complimits.cli import _fmt, _write_output, main
-from complimits.optcode import R_star, Rbar, epsilon_star, prefix_epsilon
+from complimits.optcode import R_star, Rbar, epsilon_star
 from complimits.sources import bernoulli
 from complimits.spectrum import iid_spectrum
 
-from _oracles import exact_success_factor, prefix_R
+from _oracles import exact_success_factor, prefix_R, prefix_epsilon
 
 B11_SRC = '{"type": "memoryless", "probs": [0.89, 0.11]}'
 CHAIN_SRC = '{"type": "markov", "kernel": [[0.9, 0.1], [0.2, 0.8]]}'

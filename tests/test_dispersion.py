@@ -15,21 +15,36 @@ from complimits.sources import (
     varentropy,
 )
 from complimits.spectrum import iid_spectrum, mean_info, var_info
-from complimits.optcode import (
-    Rbar,
+from complimits.optcode import R_star, Rbar, length_distribution
+from complimits.bounds import gaussian_Q_inv
+from complimits.dispersion import dispersion_estimate, normalized_dispersion
+
+from _oracles import (
+    brute_second_moment_gap,
+    brute_var_len,
+    enumerate_iid,
     expected_length_equiprobable,
-    length_distribution,
+    sorted_probs,
     var_length_equiprobable,
 )
-from complimits.dispersion import (
-    dispersion_estimate,
-    normalized_dispersion,
-    rd_characterization_check,
-)
-
-from _oracles import brute_second_moment_gap, brute_var_len, enumerate_iid, sorted_probs
 
 B11 = bernoulli(0.11)
+
+
+def rd_characterization_check(dist, eps_list, n_list):
+    """Convergence table of n ((R_star - H)/Q^-1(eps))^2 toward sigma^2 for a
+    memoryless law.  The log-blocklength bias in R_star is still visible at
+    desk-scale n, so entries approach sigma^2 slowly from below."""
+    h, sigma2 = entropy(dist), varentropy(dist)
+    if sigma2 <= 0.0:
+        raise ValueError("characterization requires nonzero varentropy")
+    rows = []
+    for n in n_list:
+        spec = iid_spectrum(dist, n)
+        for eps in eps_list:
+            value = n * ((R_star(spec, eps) - h) / gaussian_Q_inv(eps)) ** 2
+            rows.append({"n": n, "eps": eps, "value_bits2": value, "sigma2_bits2": sigma2, "ratio": value / sigma2})
+    return rows
 
 
 class TestVarCodelength:

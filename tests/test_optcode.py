@@ -19,13 +19,10 @@ from complimits.optcode import (
     R_star,
     Rbar,
     epsilon_star,
-    expected_length_equiprobable,
     length_distribution,
-    prefix_epsilon,
     prefix_epsilon_curve,
     rank_cut,
     rate_on_curve,
-    var_length_equiprobable,
 )
 
 from _oracles import (
@@ -35,10 +32,13 @@ from _oracles import (
     brute_prefix_epsilon,
     brute_var_len,
     enumerate_iid,
+    expected_length_equiprobable,
     huffman_average,
     pointer_epsilon_curve,
     prefix_R,
+    prefix_epsilon,
     sorted_probs,
+    var_length_equiprobable,
     walk_length_distribution,
 )
 

@@ -10,9 +10,8 @@ import numpy as np
 
 from complimits.sources import FiniteDistribution, bernoulli, geometric_distribution, uniform_distribution
 from complimits.spectrum import iid_spectrum
-from complimits.bounds import codelength_vs_info_check
 
-from _oracles import count_heavier, enumerate_iid, heavier_count_integral, sorted_probs
+from _oracles import codelength_vs_info_check, count_heavier, enumerate_iid, heavier_count_integral, sorted_probs
 
 
 def _random_source_and_block(rng):

@@ -167,6 +167,19 @@ class TestCountable:
             assert tail(kept) <= decimal.Decimal(1e-12) < tail(kept - 1)
         assert kept == math.ceil(math.log(1e-12) / math.log1p(-q))
 
+    def test_geometric_masses_hold_to_a_few_dozen_ulps(self):
+        # q (1-q)^k of the double q, at 60 digits.  Through log1p the error is
+        # about |k log(1-q)| ulps; a power of fl(1-q) would carry the rounding of
+        # 1 - q k times, 1.2e-10 relative at the last symbol.  A tail bound of 1e-13
+        # keeps the sum off the renormalization threshold, so the masses are read as formed.
+        q = 1e-5
+        probs = geometric_distribution(q, tail_bound=1e-13).probs
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            for k in [*range(0, len(probs), 9973), len(probs) - 1]:
+                exact = decimal.Decimal(q) * (1 - decimal.Decimal(q)) ** k
+                assert abs(decimal.Decimal(probs[k]) - exact) <= 48 * decimal.Decimal(math.ulp(float(exact)))
+
     def test_monte_carlo_geometric_law_keeps_78_symbols(self):
         assert len(geometric_distribution(0.3)) == 78
 

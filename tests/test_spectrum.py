@@ -33,7 +33,7 @@ from complimits.spectrum import (
     var_info,
 )
 
-from _oracles import count_heavier, enumerate_iid, enumerate_markov
+from _oracles import count_heavier, enumerate_iid, enumerate_markov, spectrum_self_check
 
 B11 = bernoulli(0.11)
 # brute-force masses of two Bernoulli(0.11) draws
@@ -199,12 +199,12 @@ class TestIidSpectrum:
             assert var_info(s) == pytest.approx(n * varentropy(B11), rel=1e-9)
 
     def test_self_check_log_space_consistency(self):
-        assert iid_spectrum(B11, 64).self_check() < 1e-9
+        assert spectrum_self_check(iid_spectrum(B11, 64)) < 1e-9
         # exact counts whose least masses are subnormal (about 1e-322): those
         # carry too few bits for a relative residual and must not count
         skewed = iid_spectrum(FiniteDistribution((0.98, 0.01, 0.01)), 300)
         assert any(0.0 < p < sys.float_info.min for p in skewed.probs.tolist())
-        assert skewed.self_check() < 1e-9
+        assert spectrum_self_check(skewed) < 1e-9
 
     def test_huge_blocklength_probabilities_survive(self):
         s = iid_spectrum(bernoulli(0.5), 4000)  # per-string prob 2^-4000 underflows alone
