@@ -14,11 +14,14 @@ so that the error keeps its relative accuracy at any N.  N = 1 is
 legitimate: the decoder simply guesses the global argmax.
 
 The Monte-Carlo cross-check reads one PCG64 stream per seed in a fixed
-order: the bins row-major by trial x symbol, then the realizations, then
-the tie picks.  A jump passes the bins for N = 2^j; other N draw them twice.
+order: the bins row-major by trial x symbol, as Generator.integers draws
+them, then the realizations, then the tie picks.  N = 1 draws no bins.  For
+N = 2^j a bin is the top j bits of one raw 32-bit half-word (64-bit word
+above 2^32): a jump passes the bins and the replay reads them from raw
+words, 4 bytes a cell up to 2^32.  Other N draw them twice, 8 bytes a cell.
 Bins stream in blocks of MC_BLOCK_CELLS trial-symbol cells, so memory is
-O(MC_BLOCK_CELLS + 16 bytes x trials) for any support size; the block size
-never changes the estimate.
+O(MC_BLOCK_CELLS x cell size + 16 bytes x trials) for any support size; the
+block size never changes the estimate.
 """
 
 from __future__ import annotations
@@ -126,14 +129,22 @@ def binning_error_mc(problem: BinningProblem, trials: int, seed: int) -> tuple[f
     with uniform tie-breaking.  Deterministic for a fixed seed.
 
     Stream order: PCG64(seed) yields every bin, row-major by trial x symbol,
-    then the trials' realizations, then their tie picks.  One generator
-    reaches the realizations past the bins (``_skip_bins``: a jump for
-    N = 2^j, else drawn and dropped), a second one from the same seed
-    replays the bins in blocks of MC_BLOCK_CELLS // |support| trials (at
-    least one).  NumPy's bounded integer draws keep their only state (the
-    32-bit half-word buffer included) in the bit generator, so k draws of r
-    rows equal one draw of k*r rows and the block size never changes the
-    estimate.  Memory is O(MC_BLOCK_CELLS + 16 bytes x trials).
+    as ``Generator.integers(0, N)`` would draw them, then the trials'
+    realizations, then their tie picks.  One generator reaches the
+    realizations past the bins (``_skip_bins``), a second one from the same
+    seed replays the bins in blocks of about MC_BLOCK_CELLS // |support|
+    trials (``_replay_bins``), so a bin is a function of (seed, trial,
+    symbol) whatever the block size.  The replay rule per N:
+
+    - N = 1: no bins; every string shares the one bin, so a trial errs when
+      its class is not the heaviest or the tie pick misses 1/J;
+    - N = 2^j, 1 <= j <= 32: the top j bits of one 32-bit half-word of the
+      raw stream, 4 bytes a cell, since Lemire's bounded draw never rejects
+      a power-of-two range;
+    - N = 2^j, 32 < j <= 63: the top j bits of one 64-bit word, 8 bytes a cell;
+    - other N: ``Generator.integers``, which rejects by the data, 8 bytes a cell.
+
+    Memory is O(MC_BLOCK_CELLS x cell size + 16 bytes x trials).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -146,56 +157,100 @@ def binning_error_mc(problem: BinningProblem, trials: int, seed: int) -> tuple[f
     # range, and the strictly heavier strings are the prefix before it
     order = np.array(sorted(range(m), key=lambda i: -probs[i]))
     class_start = np.empty(m, dtype=np.int64)  # per symbol, its class's first column
+    class_end = np.empty(m, dtype=np.int64)  # and one past its last
     tie_classes = []  # column ranges of the classes with peers
     pos = 0
     for cls in mass_profile(dist):
-        class_start[order[pos : pos + cls.equal_count]] = pos
+        end = pos + cls.equal_count
+        class_start[order[pos:end]], class_end[order[pos:end]] = pos, end
         if cls.equal_count > 1:
-            tie_classes.append((pos, pos + cls.equal_count))
-        pos += cls.equal_count
+            tie_classes.append((pos, end))
+        pos = end
     draw = np.random.Generator(np.random.PCG64(seed))
     _skip_bins(draw, problem.n_bins, trials * m)
     realization = draw.choice(m, size=trials, p=probs)
     tie_pick = draw.random(trials)
 
-    replay = np.random.Generator(np.random.PCG64(seed))
-    n_err, rows = 0, max(1, MC_BLOCK_CELLS // m)
-    for a in range(0, trials, rows):
-        b = min(a + rows, trials)
-        # drawn in the call, so no block outlives its scoring
-        n_err += _block_errors(replay.integers(0, problem.n_bins, size=(b - a, m)),
-                               realization[a:b], tie_pick[a:b], order, class_start, tie_classes)
+    if problem.n_bins == 1:  # one shared bin: lost to any heavier class, else to the 1/J tie pick
+        own_start = class_start[realization]
+        n_err = int(np.count_nonzero((own_start > 0) | (tie_pick >= 1.0 / (class_end[realization] - own_start))))
+    else:
+        replay = np.random.Generator(np.random.PCG64(seed))
+        columns = None if np.array_equal(order, np.arange(m)) else order
+        rows = max(1, MC_BLOCK_CELLS // m)
+        rows += rows * m % 2  # an even cell count, so no block ends mid-word
+        n_err = 0
+        for a in range(0, trials, rows):
+            b = min(a + rows, trials)
+            # drawn in the call, so no block outlives its scoring
+            n_err += _block_errors(_replay_bins(replay, problem.n_bins, b - a, m), realization[a:b],
+                                   tie_pick[a:b], columns, class_start, class_end, tie_classes)
     estimate = n_err / trials
     stderr = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)
     return estimate, stderr
 
 
+def _power_of_two(n_bins: int) -> int | None:
+    """j if N = 2^j with j <= 63, else None.  Lemire's bounded draw never
+    rejects a power-of-two range, so NumPy takes each bin below 2^j from a
+    fixed share of the PCG64 stream: none at j = 0, the top j bits of a
+    32-bit half-word (a word's low half first, its high half buffered in the
+    bit generator) up to j = 32, of a whole 64-bit word above."""
+    j = n_bins.bit_length() - 1
+    return j if n_bins == 1 << j and j <= 63 else None
+
+
 def _skip_bins(draw: np.random.Generator, n_bins: int, cells: int) -> None:
     """Move a fresh ``draw`` (no buffered half-word) past ``cells`` int64 bins
-    below ``n_bins`` as drawing them would.  Lemire's method never rejects a
-    power-of-two range, so N = 2^j reads a fixed count: nothing at N = 1, a
-    64-bit word per bin above 2^32, else a 32-bit half-word (a word's low half
-    first, its high half buffered).  PCG64.advance jumps the whole words, an
-    odd last half-word is drawn; other N reject by the data, so are drawn."""
-    if n_bins & (n_bins - 1):
+    below ``n_bins`` as drawing them would.  For N = 2^j, PCG64.advance jumps
+    the whole words and an odd last half-word is drawn; other N reject by the
+    data, so are drawn."""
+    j = _power_of_two(n_bins)
+    if j is None:
         for a in range(0, cells, MC_BLOCK_CELLS):
             draw.integers(0, n_bins, size=min(MC_BLOCK_CELLS, cells - a))
-    elif n_bins > 1:
-        words, odd = divmod(cells, 1 if n_bins > 1 << 32 else 2)
+    elif j:
+        words, odd = divmod(cells, 2 if j <= 32 else 1)
         draw.bit_generator.advance(words)
         draw.integers(0, n_bins, size=odd)
 
 
-def _block_errors(bins, real, tie_pick, order, class_start, tie_classes) -> int:
+def _replay_bins(replay: np.random.Generator, n_bins: int, rows: int, m: int) -> np.ndarray:
+    """The next ``rows`` x ``m`` bins below ``n_bins >= 2``, equal to
+    ``replay.integers(0, n_bins, size=(rows, m))`` when ``replay`` holds no
+    buffered half-word.  For N = 2^j they are read from raw words; an odd
+    cell count drops the last word's high half, so only a last block may
+    have one."""
+    j = _power_of_two(n_bins)
+    if j is None:
+        return replay.integers(0, n_bins, size=(rows, m))
+    cells = rows * m
+    if j <= 32:
+        # little-endian words, so each low half comes first
+        bins = replay.bit_generator.random_raw((cells + 1) // 2).astype("<u8", copy=False).view("<u4")[:cells]
+        bins >>= 32 - j
+    else:
+        bins = replay.bit_generator.random_raw(cells)
+        bins >>= 64 - j
+    return bins.reshape(rows, m)
+
+
+def _block_errors(bins, real, tie_pick, columns, class_start, class_end, tie_classes) -> int:
     """Decoding errors in one block of trials: ``bins`` holds a row of
-    per-symbol bins for each trial, ``real`` the realized symbols."""
+    per-symbol bins for each trial, ``real`` the realized symbols, and
+    ``columns`` the symbols in decreasing probability (None: in order)."""
     r = len(bins)
-    hits = (bins == bins[np.arange(r), real][:, None])[:, order]
+    # argmax and the tie counts read no column past the last realized class
+    cut = int(class_end[real].max())
+    hits = bins[:, :cut] if columns is None else bins[:, columns[:cut]]
+    hits = hits == bins[np.arange(r), real][:, None]
     own_start = class_start[real]
     # the first column sharing the own bin lies in a heavier class
     error = hits.argmax(axis=1) < own_start
     ties = np.zeros(r, dtype=np.int64)
     for lo, hi in tie_classes:
+        if lo >= cut:
+            break
         mine = np.flatnonzero(own_start == lo)
         ties[mine] = hits[mine, lo:hi].sum(axis=1) - 1
     # uniform pick among the 1 + ties in-bin argmax candidates

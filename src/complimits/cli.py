@@ -14,11 +14,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import operator
 import os
 import sys
 import tempfile
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterator, Sequence
 
 from . import __version__
@@ -90,11 +91,8 @@ def _write_output(args, headers: Sequence[str], rows: list[tuple], meta_extra: d
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        if args.format == "json":
-            payload = {"columns": list(headers), "rows": [[_cell(v) for v in row] for row in rows], "meta": meta}
-            lines = [json.dumps(payload, sort_keys=True, indent=2) + "\n"]
-        else:
-            lines = _csv_lines(headers, rows)  # streamed: the table is never one string
+        # streamed: the table is never one string
+        lines = _json_lines(headers, rows, meta) if args.format == "json" else _csv_lines(headers, rows)
         if args.output:
             out = {args.output: lines, f"{args.output}.meta.json": [json.dumps(meta, sort_keys=True, indent=2) + "\n"]}
             # written beside the target, then renamed: a failure leaves no new file, an old pair untouched
@@ -111,12 +109,11 @@ def _write_output(args, headers: Sequence[str], rows: list[tuple], meta_extra: d
             sys.set_int_max_str_digits(limit)
 
 
-def _csv_lines(headers: Sequence[str], rows: list[tuple]) -> Iterator[str]:
-    """Newline-terminated CSV lines.  Only cells that are not the very object
-    above them are formatted, and a cell that is the very object to its left
-    reuses that text (identity, not equality: 1 == 1.0 and 0.0 == -0.0 print
-    apart)."""
-    yield ",".join(headers) + "\n"
+def _row_lines(rows: list[tuple], fmt, sep: str, end: str) -> Iterator[str]:
+    """Each row's cell texts by ``fmt``, joined by ``sep``, then ``end``.  Only
+    cells that are not the very object above them are formatted, and a cell
+    that is the very object to its left reuses that text (identity, not
+    equality: 1 == 1.0 and 0.0 == -0.0 print apart)."""
     above, texts = (), []
     for row in rows:
         if len(row) == len(above):
@@ -125,9 +122,31 @@ def _csv_lines(headers: Sequence[str], rows: list[tuple]) -> Iterator[str]:
             fresh, texts = range(len(row)), [""] * len(row)
         for i in fresh:
             value = row[i]
-            texts[i] = texts[i - 1] if i and value is row[i - 1] else _fmt(value)
-        yield ",".join(texts) + "\n"
+            texts[i] = texts[i - 1] if i and value is row[i - 1] else fmt(value)
+        yield sep.join(texts) + end
         above = row
+
+
+def _csv_lines(headers: Sequence[str], rows: list[tuple]) -> Iterator[str]:
+    """Newline-terminated CSV lines."""
+    return chain([",".join(headers) + "\n"], _row_lines(rows, _fmt, ",", "\n"))
+
+
+def _json_lines(headers: Sequence[str], rows: list[tuple], meta: dict) -> Iterator[str]:
+    """The text of ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"`` for
+    the payload {"columns": headers, "meta": meta, "rows": [[_cell(v) for v
+    in row] for row in rows]}, one row at a time.  "rows" sorts last, so it
+    follows the dumped columns and meta."""
+    head = json.dumps({"columns": list(headers), "meta": meta}, sort_keys=True, indent=2)[:-2]  # drop "\n}"
+    if not rows:
+        yield head + ',\n  "rows": []\n}\n'
+        return
+    yield head + ',\n  "rows": [\n'
+    sep = ""
+    for cells in _row_lines(rows, _json_cell, ",\n      ", ""):  # no cell's text is empty
+        yield sep + ("    [\n      " + cells + "\n    ]" if cells else "    []")
+        sep = ",\n"
+    yield "\n  ]\n}\n"
 
 
 def _cell(value):
@@ -136,6 +155,15 @@ def _cell(value):
     if isinstance(value, int) and abs(value) < 2**53:
         return value
     return str(value)
+
+
+def _json_cell(value) -> str:
+    """``json.dumps(_cell(value))``: plain ints and finite floats print as
+    their repr, as json does, without its per-call set-up."""
+    cell = _cell(value)
+    if type(cell) is int or type(cell) is float and math.isfinite(cell):
+        return repr(cell)
+    return json.dumps(cell)
 
 
 def _int_at_least(low: int, high: int | None = None):

@@ -37,11 +37,9 @@ __all__ = [
     "markov_entropy_rate",
     "markov_varentropy_rate",
     "bernoulli",
-    "uniform_distribution",
     "binomial_distribution",
     "geometric_distribution",
     "poisson_distribution",
-    "iid_kernel",
     "load_source",
     "SourceSpec",
 ]
@@ -141,7 +139,11 @@ def poisson_distribution(lam: float, tail_bound: float = 1e-12) -> FiniteDistrib
         raise DistributionError("poisson parameter must be positive")
 
     def pmf(k: int) -> float:
-        return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+        # Loader's saddle-point form: exp(k log lam - lam - log k!) would lose
+        # about k log2(lam) ulps to the cancellation in its exponent
+        if k == 0:
+            return math.exp(-lam)
+        return math.exp(-_stirlerr(k) - _bd0(k, lam)) / math.sqrt(math.tau * k)
 
     def needed(tail_bound: float) -> float:
         a = MAX_SUPPORT - 1  # Chernoff, for a < lam: P(k <= a) <= exp(a - lam) * (lam / a)^a
@@ -150,16 +152,48 @@ def poisson_distribution(lam: float, tail_bound: float = 1e-12) -> FiniteDistrib
     return _truncated(pmf, tail_bound, f"poisson({lam})", needed, False)
 
 
+# log k! - log(sqrt(2 pi k) (k/e)^k) for k = 1..15, correctly rounded (index 0 unused)
+_STIRLERR_TABLE = (
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
+    0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+    0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
+
+
+def _stirlerr(k: int) -> float:
+    """Stirling's error log k! - log(sqrt(2 pi k) (k/e)^k) for k >= 1: a table
+    to k = 15, beyond it the series 1/(12k) - 1/(360k^3) + ... to five terms
+    (Loader, "Fast and Accurate Computation of Binomial Probabilities", 2000).
+    The first dropped term, 691/(360360 k^11), is below 1.1e-16 from k = 16
+    on, so it moves a mass, exp of minus this sum, by under one ulp."""
+    if k <= 15:
+        return _STIRLERR_TABLE[k]
+    kk = float(k) * k
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / k
+
+
+def _bd0(k: int, lam: float) -> float:
+    """k log(k / lam) + lam - k, the deviance term of Loader's form.  Where
+    |k - lam| < (k + lam) / 10 it is summed as
+    (k - lam) v + 2k sum_{j>=1} v^(2j+1) / (2j+1) with v = (k - lam)/(k + lam):
+    each term is at most v^2 < 0.01 of the one before, so the sum cancels
+    no more than 7% of its first term."""
+    if abs(k - lam) >= 0.1 * (k + lam):
+        return k * math.log(k / lam) + lam - k
+    v = (k - lam) / (k + lam)
+    total, term, v2, j = (k - lam) * v, 2.0 * k * v, v * v, 3
+    while True:
+        term *= v2
+        nxt = total + term / j
+        if nxt == total:
+            return total
+        total, j = nxt, j + 2
+
+
 def bernoulli(p: float) -> FiniteDistribution:
     """Two-outcome distribution (1-p, p)."""
     return FiniteDistribution((1.0 - p, p))
-
-
-def uniform_distribution(m: int) -> FiniteDistribution:
-    """Equiprobable distribution on m symbols."""
-    if m < 1:
-        raise DistributionError("support size must be at least 1")
-    return FiniteDistribution((1.0 / m,) * m)
 
 
 def binomial_distribution(n_trials: int, p: float) -> FiniteDistribution:
@@ -283,12 +317,6 @@ class MarkovSource:
     def initial_vector(self) -> np.ndarray:
         """Initial state probabilities, defaulting to the stationary law (read-only)."""
         return self.pi if self.initial is None else self.initial
-
-
-def iid_kernel(dist: FiniteDistribution) -> MarkovSource:
-    """Chain whose every row, and whose initial law, equals ``dist`` (memoryless in Markov clothing)."""
-    row = dist.prob_array()
-    return MarkovSource(np.tile(row, (len(row), 1)), initial=row)
 
 
 def _stationary_vector(kernel: np.ndarray, tol: float = 1e-15, max_iter: int = 500_000) -> np.ndarray:

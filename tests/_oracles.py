@@ -15,8 +15,22 @@ from fractions import Fraction
 import numpy as np
 
 from complimits.optcode import _least_k, epsilon_star
-from complimits.sources import FiniteDistribution
+from complimits.errors import DistributionError
+from complimits.sources import FiniteDistribution, MarkovSource
 from complimits.spectrum import _pstring_column, _query_tol
+
+
+def uniform_distribution(m):
+    """Equiprobable distribution on m symbols."""
+    if m < 1:
+        raise DistributionError("support size must be at least 1")
+    return FiniteDistribution((1.0 / m,) * m)
+
+
+def iid_kernel(dist):
+    """Chain whose every row, and whose initial law, equals ``dist`` (memoryless in Markov clothing)."""
+    row = dist.prob_array()
+    return MarkovSource(np.tile(row, (len(row), 1)), initial=row)
 
 
 def enumerate_iid(probs, n):
@@ -412,6 +426,31 @@ def inmemory_binning_error_mc(problem, trials, seed):
     estimate = float(errors.mean())
     stderr = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)
     return estimate, stderr
+
+
+def brute_binning_mc(problem, trials, seed):
+    """Monte-Carlo binning error decoded trial by trial.
+
+    The PCG64 stream is read as ``binning_error_mc`` documents it: the full
+    trials x |support| bin matrix from ``Generator.integers``, then the
+    realizations, then the tie picks.  Each trial lists the probabilities in
+    the realized symbol's bin and loses when a heavier one is there, or else
+    when the tie pick misses 1 over the number of equally heavy ones (equal
+    as floats, so laws with near-ties are outside its reach).
+    """
+    probs = problem.dist.probs
+    m = len(probs)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    bins = rng.integers(0, problem.n_bins, size=(trials, m)).tolist()
+    realization = rng.choice(m, size=trials, p=problem.dist.prob_array()).tolist()
+    tie_pick = rng.random(trials).tolist()
+    errors = 0
+    for row, x, u in zip(bins, realization, tie_pick):
+        in_bin = [probs[y] for y in range(m) if row[y] == row[x]]
+        best = max(in_bin)
+        errors += probs[x] < best or u >= 1.0 / in_bin.count(best)
+    estimate = errors / trials
+    return estimate, math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)
 
 
 def expected_length_equiprobable(m_outcomes):

@@ -24,7 +24,6 @@ from complimits.sources import (
     geometric_distribution,
     markov_entropy_rate,
     markov_varentropy_rate,
-    uniform_distribution,
     varentropy,
 )
 from complimits.spectrum import (
@@ -60,6 +59,7 @@ from _oracles import (
     prefix_epsilon,
     sorted_probs,
     stationary_distribution,
+    uniform_distribution,
     var_length_equiprobable,
 )
 from test_properties import (

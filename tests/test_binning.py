@@ -5,7 +5,7 @@ import pytest
 
 from complimits import binning
 from complimits.errors import DistributionError
-from complimits.sources import FiniteDistribution, bernoulli, geometric_distribution, uniform_distribution
+from complimits.sources import FiniteDistribution, bernoulli, geometric_distribution
 from complimits.spectrum import iid_spectrum
 from complimits.binning import (
     BinningProblem,
@@ -16,10 +16,12 @@ from complimits.binning import (
 )
 
 from _oracles import (
+    brute_binning_mc,
     exact_success_factor,
     exhaustive_binning_error,
     inmemory_binning_error_mc,
     log_space_success_factor,
+    uniform_distribution,
 )
 
 
@@ -199,7 +201,7 @@ class TestMonteCarloStreaming:
     def test_any_block_size_matches_inmemory(self, monkeypatch, law, block_rows):
         dist = TIE_LAWS[law]
         monkeypatch.setattr(binning, "MC_BLOCK_CELLS", block_rows * len(dist))
-        r = block_rows
+        r = block_rows + block_rows * len(dist) % 2  # rows per block: an odd support takes an even count
         # one row short of, exactly at and one past a block edge, then several blocks and a part
         _assert_matches_inmemory(dist, sorted({1, r - 1, r, r + 1, 5 * r + 3} - {0}))
 
@@ -207,6 +209,7 @@ class TestMonteCarloStreaming:
     def test_shipped_block_size_matches_inmemory(self, law):
         dist = TIE_LAWS[law]
         r = max(1, binning.MC_BLOCK_CELLS // len(dist))
+        r += r * len(dist) % 2
         _assert_matches_inmemory(dist, [1, 20_001])
         # each edge case draws about MC_BLOCK_CELLS bins (twice at 7), so fewer of them
         _assert_matches_inmemory(dist, [r - 1, r, r + 1], bins_list=(2, 7), seeds=(0,))
@@ -222,3 +225,46 @@ class TestMonteCarloStreaming:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2**20
+
+
+class TestReplayBins:
+    """The replayed bins are the ones ``Generator.integers`` draws, in one
+    block or in several, so a change to how NumPy's bounded integers consume
+    PCG64 fails here rather than moving an estimate.  N = 1 draws no bins;
+    ``TestSkipBins`` checks that NumPy's draw below 1 reads nothing either."""
+
+    @pytest.mark.parametrize("rows", [(3,), (4, 2), (4, 2, 3)])
+    @pytest.mark.parametrize("j", [*range(1, 34), 63])
+    def test_bins_equal_bounded_draws(self, j, rows):
+        n_bins, m = 2**j, 7  # odd, so the blocks sized as binning_error_mc sizes them end in an odd one
+        drawn = np.random.Generator(np.random.PCG64(5))
+        replay = np.random.Generator(np.random.PCG64(5))
+        blocks = [binning._replay_bins(replay, n_bins, r, m) for r in rows]
+        assert np.concatenate(blocks).tolist() == drawn.integers(0, n_bins, size=(sum(rows), m)).tolist()
+        if sum(rows) * m % 2 and j <= 32:
+            # the replay drops the half-word that NumPy keeps buffered;
+            # whole-word draws, as the realizations, read past it alike
+            assert replay.random(3).tolist() == drawn.random(3).tolist()
+        else:
+            assert _next_draws(replay) == _next_draws(drawn)
+
+
+# the monte_carlo workload's law, one with a tie class, and one listed out of
+# probability order with three
+ORACLE_LAWS = [
+    geometric_distribution(0.3),
+    FiniteDistribution((0.4, 0.2, 0.2, 0.1, 0.1)),
+    FiniteDistribution((0.05, 0.3, 0.1, 0.2, 0.1, 0.2, 0.05)),
+]
+
+
+@pytest.mark.parametrize("trials", [7, 301])
+@pytest.mark.parametrize("n_bins", [1, 2, 3, 4, 5, 8, 16, 2**32])
+@pytest.mark.parametrize("law", range(len(ORACLE_LAWS)))
+def test_estimate_equals_trial_by_trial_oracle(monkeypatch, law, n_bins, trials):
+    # blocks of 3 rows (4 for the odd supports, to keep each block's cell
+    # count even), so every run spans two blocks or more
+    dist = ORACLE_LAWS[law]
+    monkeypatch.setattr(binning, "MC_BLOCK_CELLS", 3 * len(dist))
+    problem = BinningProblem(dist, n_bins)
+    assert binning_error_mc(problem, trials, seed=law) == brute_binning_mc(problem, trials, seed=law)

@@ -7,9 +7,7 @@ from complimits.sources import (
     FiniteDistribution,
     MarkovSource,
     bernoulli,
-    iid_kernel,
     third_abs_moment,
-    uniform_distribution,
     varentropy,
 )
 from complimits.spectrum import iid_spectrum, markov_spectrum_exact, markov_spectrum_mc
@@ -30,7 +28,7 @@ from complimits.bounds import (
     n_star_approx,
 )
 
-from _oracles import codelength_vs_info_check, q_inv_bisect
+from _oracles import codelength_vs_info_check, iid_kernel, q_inv_bisect, uniform_distribution
 
 B11 = bernoulli(0.11)
 P11 = GaussianParams.from_distribution(B11)

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from complimits import cli
@@ -251,6 +252,47 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert out == "a\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
         assert out.split("\n")[1:3] == ["0.0,-0.0,1,1.0,True,1", ",".join([repr(x)] * 3)]
+
+    @pytest.mark.parametrize("rows", [[], [()], [
+        (0.0, -0.0, 1, 1.0, True, None, 1),  # equal neighbours of other types or signs print apart
+        (math.inf, -math.inf, math.nan, 0.1 + 0.2, 2.0**53),
+        (2**53 - 1, 2**53, -(2**53), 7**6000, np.int64(3), np.float64(0.5)),  # 7^6000: 5,071 digits
+        (),
+        ('quote " backslash \\ accent \u00e9', "x", "x"),
+    ]], ids=["no-rows", "one-empty-row", "mixed"])
+    def test_json_writer_prints_json_dumps_of_the_payload(self, capsys, rows):
+        args = argparse.Namespace(command="test", format="json", output=None)
+        _write_output(args, ["a", "b"], rows, {"note": "\u00e9", "z": [1, 2.5], "empty": {}})
+        out = capsys.readouterr().out
+        meta = json.loads(out)["meta"]
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            payload = {"columns": ["a", "b"], "rows": [[cli._cell(v) for v in row] for row in rows], "meta": meta}
+            assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--source", B11_SRC, "--n", "300"],  # counts past 2^53 print as strings
+        ["spectrum", "--source", CHAIN_SRC, "--n", "6", "--mc-samples", "500"],
+        ["limits", "--source", B11_SRC, "--n-min", "2", "--n-max", "12", "--eps", "0", "0.1"],
+        ["bounds", "--source", B11_SRC, "--n-min", "10", "--n-max", "14"],
+        ["binning", "--source", LAW3_SRC, "--bins", "1", "2", "3", "--trials", "500"],
+        ["dispersion", "--source", B11_SRC, "--n-min", "10", "--n-max", "30", "--n-step", "10"],
+        ["figure1"],
+        ["figure2", "--n-min", "10", "--n-max", "20", "--n-step", "5"],
+        ["figure3", "--n-min", "10", "--n-max", "14"],
+        ["figure4"],
+    ], ids=lambda argv: "-".join(argv[:1] + argv[-1:]))
+    def test_json_output_of_every_command_is_json_dumps_layout(self, capsys, argv):
+        # json.loads gives back every value of the payload exactly, so dumping
+        # it again reproduces json.dumps(payload) byte for byte
+        assert run_cli([*argv, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("argv", [

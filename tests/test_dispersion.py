@@ -11,7 +11,6 @@ from complimits.sources import (
     geometric_distribution,
     markov_varentropy_rate,
     poisson_distribution,
-    uniform_distribution,
     varentropy,
 )
 from complimits.spectrum import iid_spectrum, mean_info, var_info
@@ -25,6 +24,7 @@ from _oracles import (
     enumerate_iid,
     expected_length_equiprobable,
     sorted_probs,
+    uniform_distribution,
     var_length_equiprobable,
 )
 

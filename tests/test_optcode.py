@@ -12,7 +12,6 @@ from complimits.sources import (
     MarkovSource,
     bernoulli,
     geometric_distribution,
-    uniform_distribution,
 )
 from complimits.spectrum import ccdf, iid_spectrum, markov_spectrum_exact, markov_spectrum_mc
 from complimits.optcode import (
@@ -38,6 +37,7 @@ from _oracles import (
     prefix_R,
     prefix_epsilon,
     sorted_probs,
+    uniform_distribution,
     var_length_equiprobable,
     walk_length_distribution,
 )

@@ -8,10 +8,17 @@ import math
 
 import numpy as np
 
-from complimits.sources import FiniteDistribution, bernoulli, geometric_distribution, uniform_distribution
+from complimits.sources import FiniteDistribution, bernoulli, geometric_distribution
 from complimits.spectrum import iid_spectrum
 
-from _oracles import codelength_vs_info_check, count_heavier, enumerate_iid, heavier_count_integral, sorted_probs
+from _oracles import (
+    codelength_vs_info_check,
+    count_heavier,
+    enumerate_iid,
+    heavier_count_integral,
+    sorted_probs,
+    uniform_distribution,
+)
 
 
 def _random_source_and_block(rng):

@@ -23,9 +23,6 @@ AWAITING_A_CALLER = {
     "n_star_approx",
     # the paper's minimal mean rate, read by the acceptance criteria
     "Rbar",
-    # source constructors
-    "uniform_distribution",
-    "iid_kernel",
 }
 
 

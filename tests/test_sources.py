@@ -1,5 +1,6 @@
 import decimal
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,17 +17,21 @@ from complimits.sources import (
     binomial_distribution,
     entropy,
     geometric_distribution,
-    iid_kernel,
     load_source,
     markov_entropy_rate,
     markov_varentropy_rate,
     poisson_distribution,
     third_abs_moment,
-    uniform_distribution,
     varentropy,
 )
 
-from _oracles import enumerate_markov, stationary_distribution, tilted_varentropy_rate
+from _oracles import (
+    enumerate_markov,
+    iid_kernel,
+    stationary_distribution,
+    tilted_varentropy_rate,
+    uniform_distribution,
+)
 
 
 def binary_entropy(p):
@@ -185,9 +190,31 @@ class TestCountable:
 
     @pytest.mark.parametrize("lam", [3.0, 30.0, 1000.0])
     def test_poisson_stops_where_the_exact_sum_of_its_masses_reaches_the_bound(self, lam):
-        pmf = [math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)) for k in range(int(2 * lam) + 60)]
-        stop = next(k for k in range(len(pmf)) if math.fsum(pmf[:k]) >= 1.0 - 1e-12)
-        assert poisson_distribution(lam).probs == tuple(p for p in pmf[:stop] if p > 0.0)
+        probs = poisson_distribution(lam).probs
+        assert math.fsum(probs) >= 1.0 - 1e-12 > math.fsum(probs[:-1])
+
+    @pytest.mark.parametrize("lam", [0.1, 10.0, 3000.0, 3e5])
+    def test_poisson_masses_hold_to_the_rounding_of_their_exponent(self, lam):
+        # e^-lam lam^k / k! of the double lam, at 60 digits.  Loader's form
+        # exp(-stirlerr(k) - bd0(k, lam)) / sqrt(2 pi k) errs by about the
+        # rounding of its exponent, at most 77 ulps where the mass passes 1e-20
+        # and 2,200 in the far tail, where bd0 is k log(k/lam) + lam - k with
+        # terms near 10^3.  exp(k log lam - lam - lgamma(k + 1)) lost about
+        # k log2(lam) ulps and so never reached the 1 - 1e-12 stop at 3000.
+        probs = poisson_distribution(lam).probs
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.Emin, ctx.Emax = 60, decimal.MIN_EMIN, decimal.MAX_EMAX
+            lam_d = decimal.Decimal(lam)
+            exact, k = (-lam_d).exp(), 0
+            while float(exact) == 0.0:  # masses that round to 0 are dropped
+                k += 1
+                exact = exact * lam_d / k
+            for p in probs:
+                if exact >= sys.float_info.min:
+                    bound = 2.0**-45 if exact >= 1e-20 else 2.0**-40
+                    assert abs(decimal.Decimal(p) - exact) <= decimal.Decimal(bound) * exact, k
+                k += 1
+                exact = exact * lam_d / k
 
     def test_binomial_matches_comb(self):
         d = binomial_distribution(10, 0.5)

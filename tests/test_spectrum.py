@@ -14,8 +14,6 @@ from complimits.sources import (
     MarkovSource,
     bernoulli,
     entropy,
-    iid_kernel,
-    uniform_distribution,
     varentropy,
 )
 from complimits.spectrum import (
@@ -33,7 +31,14 @@ from complimits.spectrum import (
     var_info,
 )
 
-from _oracles import count_heavier, enumerate_iid, enumerate_markov, spectrum_self_check
+from _oracles import (
+    count_heavier,
+    enumerate_iid,
+    enumerate_markov,
+    iid_kernel,
+    spectrum_self_check,
+    uniform_distribution,
+)
 
 B11 = bernoulli(0.11)
 # brute-force masses of two Bernoulli(0.11) draws
