@@ -33,11 +33,12 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DistributionError
+from .errors import ConfigurationError, DistributionError
 from .spectrum import InformationSpectrum, _finish
 from .sources import FiniteDistribution
 
 MC_BLOCK_CELLS = 1 << 20  # trial-symbol cells per streamed block of Monte-Carlo bins
+MC_MAX_BINS = 1 << 63  # NumPy draws bins below at most 2^63, its int64 range
 
 __all__ = [
     "BinningProblem",
@@ -144,10 +145,13 @@ def binning_error_mc(problem: BinningProblem, trials: int, seed: int) -> tuple[f
     - N = 2^j, 32 < j <= 63: the top j bits of one 64-bit word, 8 bytes a cell;
     - other N: ``Generator.integers``, which rejects by the data, 8 bytes a cell.
 
-    Memory is O(MC_BLOCK_CELLS x cell size + 16 bytes x trials).
+    Memory is O(MC_BLOCK_CELLS x cell size + 16 bytes x trials).  N above
+    MC_MAX_BINS raises ConfigurationError before any draw.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if problem.n_bins > MC_MAX_BINS:
+        raise ConfigurationError(f"Monte-Carlo binning draws n_bins up to 2^63, not {problem.n_bins}")
     dist = problem.dist
     if isinstance(dist, InformationSpectrum):
         raise DistributionError("Monte-Carlo binning needs an explicit finite distribution")

@@ -23,7 +23,7 @@ from itertools import chain, compress
 from typing import Iterator, Sequence
 
 from . import __version__
-from .binning import BinningProblem, binning_error_exact, binning_error_mc
+from .binning import MC_MAX_BINS, BinningProblem, binning_error_exact, binning_error_mc
 from .bounds import GaussianParams, R_upper_quantile, achievability_iid, approx_Rstar, converse_iid
 from .dispersion import dispersion_estimate, exact_spectrum, exact_sweep, normalized_dispersion
 from .errors import (
@@ -388,8 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("binning", help="random binning error")
     common(p)
-    # 2^63 is the largest exclusive high that NumPy's int64 bin draws take
-    p.add_argument("--bins", type=_int_at_least(1, 2**63), nargs="+", required=True)
+    p.add_argument("--bins", type=_int_at_least(1, MC_MAX_BINS), nargs="+", required=True)
     p.add_argument("--trials", type=_int_at_least(1), default=100_000)
     p.set_defaults(func=_cmd_binning)
 

@@ -84,15 +84,16 @@ class FiniteDistribution:
 
 
 def _truncated(
-    pmf: Callable[[int], float], tail_bound: float, name: str, needed: Callable[[float], float], exact: bool
+    pmf: Callable[[np.ndarray], np.ndarray], tail_bound: float, name: str, needed: Callable[[float], float], exact: bool
 ) -> FiniteDistribution:
     """Finite law on k = 0, 1, ... holding at least 1 - tail_bound of a countable one.
 
-    ``needed(tail_bound)`` counts the symbols that takes, exactly if ``exact``
-    (a closed form), else as a lower bound with a compensated sum of the kept
-    masses deciding.  A law past MAX_SUPPORT is rejected before its pmf runs.
-    With the default tail_bound of 1e-12 the kept masses satisfy the
-    normalization invariant; a fatter tail forces a renormalization.
+    ``pmf`` maps a column of symbols to their masses.  ``needed(tail_bound)``
+    counts the symbols that takes, exactly if ``exact`` (a closed form), else
+    as a lower bound with a compensated sum of doubling blocks of masses deciding.
+    A law past MAX_SUPPORT is rejected before its pmf runs.  With the default
+    tail_bound of 1e-12 the kept masses satisfy the normalization invariant; a
+    fatter tail forces a renormalization.
     """
     if not 0.0 < tail_bound < 1.0:
         raise DistributionError(f"tail_bound must lie in (0, 1), not {tail_bound!r}")
@@ -101,23 +102,30 @@ def _truncated(
         raise DistributionError(
             f"truncation of {name} to 1 - {tail_bound} needs at least {at_least:.0f} symbols, more than {MAX_SUPPORT}"
         )
-    probs, total, err, target = [], 0.0, 0.0, 1.0 - tail_bound
-    while len(probs) < at_least if exact else (total - target) + err < 0.0:
+    probs, reached = (pmf(np.arange(math.ceil(at_least))), [math.ceil(at_least) - 1]) if exact else (np.zeros(0), [])
+    while not len(reached):
         if len(probs) == MAX_SUPPORT:
-            raise DistributionError(
-                f"truncation of {name} did not reach 1 - {tail_bound} within {MAX_SUPPORT} symbols"
-            )
-        p = float(pmf(len(probs)))
-        probs.append(p)
-        s = total + p
-        err += (total - s) + p if total >= p else (p - s) + total  # Neumaier: what rounding dropped
-        total = s
+            raise DistributionError(f"truncation of {name} did not reach 1 - {tail_bound} within {MAX_SUPPORT} symbols")
+        probs = np.append(probs, pmf(np.arange(len(probs), min(2 * len(probs) + 1024, MAX_SUPPORT))))
+        reached = np.flatnonzero(_compensated_cumsum(probs) >= 1.0 - tail_bound)
+    probs = probs[: reached[0] + 1].tolist()
     deficit = 1.0 - math.fsum(probs)
     if abs(deficit) > PROB_SUM_TOL:
         # keep exact masses whenever allowed; renormalize only when the tail is
         # too fat, or the rounded masses too heavy, for the normalization invariant
         probs = [p / (1.0 - deficit) for p in probs]
     return FiniteDistribution(probs)
+
+
+def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
+    """Prefix sums of ``x`` as the float cumsum s plus the cumsum of its
+    rounding errors, each exact by TwoSum (Ogita, Rump & Oishi, "Accurate Sum
+    and Dot Product", 2005): as if summed in twice the precision, then rounded."""
+    s = np.cumsum(x)
+    before = np.concatenate(([0.0], s[:-1]))
+    with np.errstate(invalid="ignore"):  # an infinite x leaves NaN errors, and so a NaN total
+        moved = s - before
+        return s + np.cumsum((before - (s - moved)) + (x - moved))
 
 
 def geometric_distribution(q: float, tail_bound: float = 1e-12) -> FiniteDistribution:
@@ -129,7 +137,8 @@ def geometric_distribution(q: float, tail_bound: float = 1e-12) -> FiniteDistrib
     # 1 - q k times (about 1e-10 relative at q = 1e-5)
     log_keep = math.log1p(-q)
     return _truncated(
-        lambda k: q * math.exp(k * log_keep), tail_bound, f"geometric({q})", lambda t: math.log(t) / log_keep, True
+        lambda k: q * np.fromiter(map(math.exp, (k * log_keep).tolist()), np.float64, len(k)),
+        tail_bound, f"geometric({q})", lambda t: math.log(t) / log_keep, True,
     )
 
 
@@ -138,12 +147,11 @@ def poisson_distribution(lam: float, tail_bound: float = 1e-12) -> FiniteDistrib
     if lam <= 0.0:
         raise DistributionError("poisson parameter must be positive")
 
-    def pmf(k: int) -> float:
+    def pmf(k: np.ndarray) -> np.ndarray:
         # Loader's saddle-point form: exp(k log lam - lam - log k!) would lose
         # about k log2(lam) ulps to the cancellation in its exponent
-        if k == 0:
-            return math.exp(-lam)
-        return math.exp(-_stirlerr(k) - _bd0(k, lam)) / math.sqrt(math.tau * k)
+        k1 = np.maximum(k, 1)
+        return np.where(k == 0, math.exp(-lam), np.exp(-_stirlerr(k1) - _bd0(k1, lam)) / np.sqrt(math.tau * k1))
 
     def needed(tail_bound: float) -> float:
         a = MAX_SUPPORT - 1  # Chernoff, for a < lam: P(k <= a) <= exp(a - lam) * (lam / a)^a
@@ -153,42 +161,72 @@ def poisson_distribution(lam: float, tail_bound: float = 1e-12) -> FiniteDistrib
 
 
 # log k! - log(sqrt(2 pi k) (k/e)^k) for k = 1..15, correctly rounded (index 0 unused)
-_STIRLERR_TABLE = (
+_STIRLERR_EXACT = np.array((
     0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
     0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
     0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
     0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
-)
+))
 
 
-def _stirlerr(k: int) -> float:
-    """Stirling's error log k! - log(sqrt(2 pi k) (k/e)^k) for k >= 1: a table
-    to k = 15, beyond it the series 1/(12k) - 1/(360k^3) + ... to five terms
-    (Loader, "Fast and Accurate Computation of Binomial Probabilities", 2000).
-    The first dropped term, 691/(360360 k^11), is below 1.1e-16 from k = 16
-    on, so it moves a mass, exp of minus this sum, by under one ulp."""
-    if k <= 15:
-        return _STIRLERR_TABLE[k]
-    kk = float(k) * k
-    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / k
+def _stirlerr(k: np.ndarray) -> np.ndarray:
+    """Stirling's error log k! - log(sqrt(2 pi k) (k/e)^k) for integers k >= 1:
+    a table to k = 15, beyond it the series 1/(12k) - 1/(360k^3) + ... to five
+    terms (Loader, "Fast and Accurate Computation of Binomial Probabilities",
+    2000).  The first dropped term, 691/(360360 k^11), is below 1.1e-16 from
+    k = 16 on, so it moves a mass, exp of minus this sum, by under one ulp."""
+    kf = np.maximum(k, 16).astype(np.float64)  # the series where it is read
+    kk = kf * kf
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / kf
+    return np.where(k <= 15, _STIRLERR_EXACT[np.minimum(k, 15)], series)
 
 
-def _bd0(k: int, lam: float) -> float:
-    """k log(k / lam) + lam - k, the deviance term of Loader's form.  Where
-    |k - lam| < (k + lam) / 10 it is summed as
-    (k - lam) v + 2k sum_{j>=1} v^(2j+1) / (2j+1) with v = (k - lam)/(k + lam):
-    each term is at most v^2 < 0.01 of the one before, so the sum cancels
-    no more than 7% of its first term."""
-    if abs(k - lam) >= 0.1 * (k + lam):
-        return k * math.log(k / lam) + lam - k
+_stirlerr_table = _STIRLERR_EXACT  # stirlerr(k) at index k, grown by doubling and shared across n
+
+
+def _stirlerr_upto(n: int) -> np.ndarray:
+    """stirlerr(k) for k = 0..n at least (0 at k = 0), each entry a function of k alone."""
+    global _stirlerr_table
+    size = len(_stirlerr_table)
+    if size <= n:
+        _stirlerr_table = np.concatenate((_stirlerr_table, _stirlerr(np.arange(size, max(n + 1, 2 * size)))))
+    return _stirlerr_table
+
+
+def _bd0(k: np.ndarray, lam: float) -> np.ndarray:
+    """k log(k / lam) + lam - k for k > 0, the deviance term of Loader's form.
+    Where |k - lam| < (k + lam) / 10 it is summed as (k - lam) v + 2k v^3 S
+    with v = (k - lam)/(k + lam) and S = sum_{j>=0} v^(2j) / (2j + 3), by
+    Horner to the first power of v^2 below 2^-54: as v^2 < 0.01, the second
+    part is under 7% of the first."""
+    with np.errstate(over="ignore"):  # k / lam past the doubles, where the mass is 0
+        out = k * np.log(k / lam) + lam - k
+    near = np.abs(k - lam) < 0.1 * (k + lam)
+    k = k[near]
     v = (k - lam) / (k + lam)
-    total, term, v2, j = (k - lam) * v, 2.0 * k * v, v * v, 3
-    while True:
-        term *= v2
-        nxt = total + term / j
-        if nxt == total:
-            return total
-        total, j = nxt, j + 2
+    v2 = v * v
+    top = float(v2.max(initial=0.0))
+    terms = math.ceil(54 / -math.log2(top)) if top else 1  # top^terms <= 2^-54
+    series = np.full_like(v2, 1 / (2 * terms + 1))
+    for j in range(terms - 1, 0, -1):
+        series = series * v2 + 1 / (2 * j + 1)
+    out[near] = (k - lam) * v + 2.0 * k * v * v2 * series
+    return out
+
+
+def _binomial_pmf(n: int, p: float, q: float) -> np.ndarray:
+    """C(n, k) p^k q^(n - k) for k = 0..n by Loader's form: exp(stirlerr(n) -
+    stirlerr(k) - stirlerr(n - k) - bd0(k, np) - bd0(n - k, nq)) times
+    sqrt(n / (2 pi k (n - k))), plus n (p + q - 1) in the exponent, since the
+    doubles p and q need not sum to 1; q^n and p^n at the ends."""
+    out = np.empty(n + 1)
+    out[0], out[n] = math.exp(n * math.log(q)), math.exp(n * math.log(p))
+    if n > 1:
+        table, k = _stirlerr_upto(n), np.arange(1, n)
+        rest, lead = n - k, table[n] + n * math.fsum((p, q, -1.0))
+        exponent = lead - table[1:n] - table[n - 1:0:-1] - _bd0(k, n * p) - _bd0(rest, n * q)
+        out[1:n] = np.exp(exponent) * np.sqrt(n / (math.tau * k * rest))
+    return out
 
 
 def bernoulli(p: float) -> FiniteDistribution:
@@ -199,22 +237,15 @@ def bernoulli(p: float) -> FiniteDistribution:
 def binomial_distribution(n_trials: int, p: float) -> FiniteDistribution:
     """Number of successes in n_trials independent trials of bias p.
 
-    Masses are computed from exact integer binomial coefficients in log space,
-    so even n_trials = 10_000 is safe; outcomes whose probability underflows
-    double precision carry no representable mass and are dropped.
+    Masses come by Loader's saddle-point form (``_binomial_pmf``), so even
+    n_trials = 10_000 is safe; outcomes whose probability underflows double
+    precision carry no representable mass and are dropped.
     """
     if n_trials < 1:
         raise DistributionError("n_trials must be at least 1")
     if not 0.0 < p < 1.0:
         raise DistributionError("bias must lie in (0, 1)")
-    l2p, l2q = math.log2(p), math.log2(1.0 - p)
-    coeff = 1  # running exact binomial coefficient
-    probs = []
-    for k in range(n_trials + 1):
-        lp = math.log2(coeff) + k * l2p + (n_trials - k) * l2q
-        probs.append(2.0 ** lp if lp > -1074.0 else 0.0)
-        coeff = coeff * (n_trials - k) // (k + 1)
-    return FiniteDistribution(probs)
+    return FiniteDistribution(_binomial_pmf(n_trials, p, 1.0 - p))
 
 
 def entropy(dist: FiniteDistribution) -> float:

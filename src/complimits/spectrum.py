@@ -8,15 +8,17 @@ count as an arbitrary-precision integer, which is what makes rank arithmetic
 work at blocklengths in the thousands where counts overflow any float.
 
 Masses are sorted by increasing surprisal, i.e. decreasing per-string
-probability.  A mass probability is count * 2^(-surprisal), through log space
-only for counts beyond 53 bits or surprisals beyond 1000 bits, formed as one
-column per spectrum bit-identical to ``count_times_pstring`` (``_pstring_column``);
-a binomial row comes by Pascal's rule from row n - 1 when that was the last one built.
-Masses within 1e-12 bits of the first surprisal of their group merge, with
-``math.fsum`` over their probabilities, so that counting queries are well
-defined.  Every limit reads the excess side, so a spectrum keeps
-Kahan-compensated suffix sums; the retained side P[surprisal <= a] is formed
-on request (``cdf_values``).
+probability.  A binary law's masses are one column by Loader's saddle-point
+form (``sources._binomial_pmf``), within 5e-13 relative of the exact
+C(n, k) p^k q^(n-k) for every normal mass up to n = 2000; other masses are
+count * 2^(-surprisal), one column bit-identical to ``count_times_pstring``
+(``_pstring_column``).  A binomial row of counts comes by Pascal's rule from
+row n - 1 when that was the last one built.  Masses within 1e-12 bits of the
+first surprisal of their group merge, with ``math.fsum`` over their
+probabilities, so that counting queries are well defined.  Every limit reads
+the excess side, so a spectrum keeps suffix sums compensated by their TwoSum
+errors, within one ulp of the exact sums of its masses; the retained side
+P[surprisal <= a] is formed on request (``cdf_values``).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from ._kernels import initial_step, markov_step
 from .budgets import enumeration_budget, type_class_budget
 from .errors import BudgetExceededError, DistributionError, UnsupportedSpectrumError
-from .sources import FiniteDistribution, MarkovSource
+from .sources import FiniteDistribution, MarkovSource, _binomial_pmf, _compensated_cumsum
 
 MERGE_TOL = 1e-12  # bits; masses closer than this are one mass
 PROB_CHECK_TOL = 1e-9
@@ -79,21 +81,6 @@ def _pstring_column(counts: Sequence[int], infos) -> np.ndarray:
     out = np.zeros(len(infos))
     out[keep] = factor[keep] * np.fromiter(map(pow, itertools.repeat(2.0), power[keep].tolist()), np.float64)
     return out
-
-
-def _kahan_prefix(values: np.ndarray) -> np.ndarray:
-    """Running compensated prefix sums of a 1-D float array."""
-    out = []
-    append = out.append
-    s = 0.0
-    c = 0.0
-    for x in values.tolist():
-        y = x - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        append(s)
-    return np.array(out)
 
 
 def _query_tol(x: float) -> float:
@@ -146,10 +133,7 @@ class InformationSpectrum:
         self.exact = bool(exact)
         self.sample_size = int(sample_size)
 
-        # past the last nonzero probability the compensated sum stays +0.0
-        live = int(np.flatnonzero(probs_arr)[-1]) + 1 if probs_arr.any() else 0
-        self.suffix_probs = np.zeros(len(probs_arr) + 1)
-        self.suffix_probs[:live] = _kahan_prefix(probs_arr[:live][::-1])[::-1]
+        self.suffix_probs = np.append(_compensated_cumsum(probs_arr[::-1])[::-1], 0.0)
         self.suffix_probs.setflags(write=False)
         total = float(self.suffix_probs[0])
         if not abs(total - 1.0) <= PROB_CHECK_TOL:  # NaN fails too
@@ -241,7 +225,8 @@ def iid_spectrum(dist: FiniteDistribution, n: int) -> InformationSpectrum:
 
     One mass per type class: a class with symbol counts (n_a) has surprisal
     sum(n_a * iota_a), exact string count n!/prod(n_a!), and probability
-    count * 2^(-surprisal) (``count_times_pstring``).  The number of classes
+    count * 2^(-surprisal): the binomial pmf of the law's doubles for two
+    letters, ``count_times_pstring`` for more.  The number of classes
     is C(n+|A|-1, |A|-1), which must fit the configured budget.
     """
     if n < 1:
@@ -264,10 +249,12 @@ def iid_spectrum(dist: FiniteDistribution, n: int) -> InformationSpectrum:
         counts = _binomial_row(n)
         k = np.arange(n + 1, dtype=np.float64)
         infos = (n - k) * i0 + k * i1  # one correctly rounded add, as math.fsum of the two products
+        probs = _binomial_pmf(n, dist.probs[1], dist.probs[0])
     else:
         comps, counts = _type_classes(n, m)
         infos = np.fromiter(map(math.fsum, zip(*(comps * iotas).T.tolist())), np.float64, len(counts))
-    return _finish(infos, _pstring_column(counts, infos), counts, n)
+        probs = _pstring_column(counts, infos)
+    return _finish(infos, probs, counts, n)
 
 
 def markov_spectrum_exact(src: MarkovSource, n: int) -> InformationSpectrum:
@@ -343,14 +330,14 @@ def markov_spectrum_mc(src: MarkovSource, n: int, samples: int, seed: int) -> In
 
 
 def ccdf(spec: InformationSpectrum, a: float) -> float:
-    """P[surprisal >= a], from precomputed compensated suffix sums."""
+    """P[surprisal >= a] from the compensated suffix sums; 1 at the lightest surprisal, not the float total."""
     i = int(np.searchsorted(spec.infos, a - _query_tol(a), side="left"))
-    return float(spec.suffix_probs[i])
+    return float(spec.suffix_probs[i]) if i else 1.0
 
 
 def cdf_values(spec: InformationSpectrum) -> np.ndarray:
     """P[surprisal <= infos[i]] for every mass i, as compensated prefix sums."""
-    return _kahan_prefix(spec.probs)
+    return _compensated_cumsum(spec.probs)
 
 
 def mean_info(spec: InformationSpectrum) -> float:

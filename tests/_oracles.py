@@ -17,7 +17,7 @@ import numpy as np
 from complimits.optcode import _least_k, epsilon_star
 from complimits.errors import DistributionError
 from complimits.sources import FiniteDistribution, MarkovSource
-from complimits.spectrum import _pstring_column, _query_tol
+from complimits.spectrum import _query_tol
 
 
 def uniform_distribution(m):
@@ -125,6 +125,31 @@ def _count_times_pstring(count, info):
         return count * 2.0 ** (-info)
     lp = math.log2(count) - info
     return 0.0 if lp < -1080.0 else 2.0 ** lp
+
+
+def dyadic(x, scale=1074):
+    """The double x exactly, as an integer over 2^scale (every double is one for scale >= 1074)."""
+    num, den = float(x).as_integer_ratio()
+    return num << (scale - den.bit_length() + 1)
+
+
+def exact_binomial(n, p, q):
+    """C(n, k) p^k q^(n - k) of the doubles p and q for k = 0..n, exactly:
+    (numerators, scale), each mass its numerator over 2^scale, scale >= 1074."""
+    (a, den_a), (b, den_b) = p.as_integer_ratio(), q.as_integer_ratio()
+    ea, eb = den_a.bit_length() - 1, den_b.bit_length() - 1
+    scale = max(1074, n * max(ea, eb))
+    nums, num = [0] * (n + 1), a**n
+    for k in range(n, -1, -1):  # C(n, k - 1) a^(k-1) b^(n-k+1) from C(n, k) a^k b^(n-k), an exact division
+        nums[k] = num << (scale - ea * k - eb * (n - k))
+        num = num * k * b // ((n - k + 1) * a)
+    return nums, scale
+
+
+def relative_error(x, exact, scale):
+    """|x - exact / 2^scale| over the larger of exact / 2^scale and the least
+    normal double, for a double x: a relative error for normal masses."""
+    return abs(dyadic(x, scale) - exact) / max(exact, 1 << (scale - 1022))
 
 
 def dyadic_pieces(counts, infos):
@@ -506,7 +531,7 @@ def spectrum_self_check(spec):
     skipped: subnormals carry too few significant bits for a relative
     residual to mean anything.
     """
-    ref = _pstring_column(spec.counts, spec.infos)
+    ref = np.array(list(map(_count_times_pstring, spec.counts, spec.infos.tolist())), dtype=np.float64)
     scale = np.maximum(ref, spec.probs)
     normal = scale >= sys.float_info.min
     return float(np.max(np.abs(ref - spec.probs)[normal] / scale[normal], initial=0.0))

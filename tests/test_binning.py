@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from complimits import binning
-from complimits.errors import DistributionError
+from complimits.errors import ConfigurationError, DistributionError
 from complimits.sources import FiniteDistribution, bernoulli, geometric_distribution
 from complimits.spectrum import iid_spectrum
 from complimits.binning import (
@@ -144,6 +144,19 @@ class TestMonteCarlo:
         s = iid_spectrum(bernoulli(0.3), 2)
         with pytest.raises(DistributionError):
             binning_error_mc(BinningProblem(s, 2), 100, seed=0)
+
+    def test_bins_past_the_limit_raise_before_any_draw(self, monkeypatch):
+        # NumPy draws bins below at most 2^63; the exact error still answers
+        problem = BinningProblem(FiniteDistribution((0.5, 0.5)), 2**64)
+        assert binning.MC_MAX_BINS == 2**63
+        assert 0.0 < binning_error_exact(problem) < 1e-19
+
+        def no_generator(seed):
+            raise AssertionError("drew bins")
+
+        monkeypatch.setattr(np.random, "PCG64", no_generator)
+        with pytest.raises(ConfigurationError, match=r"n_bins up to 2\^63, not 18446744073709551616"):
+            binning_error_mc(problem, 10, 0)
 
 
 # laws with equal-probability classes, listed in and out of probability order,

@@ -154,6 +154,13 @@ class TestExitCodes:
     def test_largest_bin_count_accepted(self, capsys):
         assert run_cli(["binning", "--source", B11_SRC, "--bins", str(2**63), "--trials", "1"]) == 0
 
+    def test_bin_cap_is_the_monte_carlo_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MC_MAX_BINS", 4)
+        assert run_cli(["binning", "--source", B11_SRC, "--bins", "4", "--trials", "1"]) == 0
+        capsys.readouterr()
+        assert run_cli(["binning", "--source", B11_SRC, "--bins", "5", "--trials", "1"]) == 2
+        assert "must be at most 4" in json.loads(capsys.readouterr().err)["message"]
+
     def test_success(self, capsys):
         assert run_cli(["spectrum", "--source", B11_SRC, "--n", "2"]) == 0
         out = capsys.readouterr().out

@@ -27,7 +27,9 @@ from complimits.sources import (
 
 from _oracles import (
     enumerate_markov,
+    exact_binomial,
     iid_kernel,
+    relative_error,
     stationary_distribution,
     tilted_varentropy_rate,
     uniform_distribution,
@@ -215,6 +217,21 @@ class TestCountable:
                     assert abs(decimal.Decimal(p) - exact) <= decimal.Decimal(bound) * exact, k
                 k += 1
                 exact = exact * lam_d / k
+
+    def test_binomial_masses_hold_to_loaders_form(self):
+        # C(n, k) / 2^n at n = 10^4, exactly.  2.0 ** (log2 C + ...) was up to
+        # 6.3e-13 relative off near the mode; Loader's form is within 1.0e-14
+        # where the mass passes 1e-20 and 1.5e-12 in the far tail, where bd0 is
+        # k log(k / np) + np - k with terms near 10^3
+        n = 10_000
+        column = sources._binomial_pmf(n, 0.5, 0.5)
+        assert binomial_distribution(n, 0.5).probs == tuple(column[column > 0.0].tolist())
+        nums, scale = exact_binomial(n, 0.5, 0.5)
+        for k, (x, num) in enumerate(zip(column.tolist(), nums)):
+            exact = num / 2**scale
+            if exact >= sys.float_info.min:
+                bound = 2.0**-45 if exact >= 1e-20 else 2.0**-38
+                assert relative_error(x, num, scale) <= bound, k
 
     def test_binomial_matches_comb(self):
         d = binomial_distribution(10, 0.5)

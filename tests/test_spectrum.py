@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complimits import spectrum
+from complimits import sources, spectrum
 from complimits.errors import BudgetExceededError, DistributionError, UnsupportedSpectrumError
 from complimits.sources import (
     FiniteDistribution,
@@ -33,9 +34,12 @@ from complimits.spectrum import (
 
 from _oracles import (
     count_heavier,
+    dyadic,
     enumerate_iid,
     enumerate_markov,
+    exact_binomial,
     iid_kernel,
+    relative_error,
     spectrum_self_check,
     uniform_distribution,
 )
@@ -50,10 +54,14 @@ PAPER_CHAIN = MarkovSource(np.array([[0.9, 0.1], [0.2, 0.8]]))
 
 # ---------------------------------------------------------------------------
 # Per-mass reference path: one (info, prob, count) triple per type class or
-# path, sorted and merged one mass at a time, with the cumulative arrays
-# summed over NumPy scalars.  The column constructors must match it bit for
-# bit.  Enumeration order cannot show: tied masses carry equal surprisals and
-# math.fsum is exact, so compositions are listed here in their own order.
+# path, sorted and merged one mass at a time.  The column constructors must
+# match its surprisals, counts and cumulative counts bit for bit, and its
+# masses too, except a binary law's: those are the exact C(n, k) p^k q^(n-k)
+# of the law's doubles, which Loader's form must meet to 2^-40 relative.
+# Suffix and prefix sums must lie within one ulp of the exact sums of the
+# stored masses.  Enumeration order cannot show: tied masses carry equal
+# surprisals and math.fsum is exact, so compositions are listed here in their
+# own order.
 # ---------------------------------------------------------------------------
 
 
@@ -76,13 +84,11 @@ def _ref_iid_triples(probs, n):
         for p, iota in zip(probs, iotas):
             yield (iota, p, 1)
         return
-    if m == 2:
+    if m == 2:  # exact masses, as (numerator, scale) pairs
         i0, i1 = iotas
-        count = 1
-        for k in range(n + 1):
-            info = math.fsum(((n - k) * i0, k * i1))
-            yield (info, count_times_pstring(count, info), count)
-            count = count * (n - k) // (k + 1)
+        nums, scale = exact_binomial(n, probs[1], probs[0])
+        for k, num in enumerate(nums):
+            yield (math.fsum(((n - k) * i0, k * i1)), (num, scale), math.comb(n, k))
         return
     for comp in _ref_compositions(n, m):
         count = math.factorial(n)
@@ -106,18 +112,6 @@ def _ref_markov_triples(src, n):
                 stack.append((nxt, depth + 1, prob * p, info - math.log2(p)))
 
 
-def _ref_kahan(values):
-    out = np.empty(len(values))
-    s = c = 0.0
-    for i, x in enumerate(values):
-        y = x - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        out[i] = s
-    return out
-
-
 def _reference(triples):
     infos, groups, counts = [], [], []
     for info, prob, count in sorted(triples, key=lambda t: t[0]):
@@ -128,28 +122,35 @@ def _reference(triples):
             infos.append(info)
             groups.append([prob])
             counts.append(count)
-    probs = np.array([math.fsum(g) for g in groups])
+    probs = [math.fsum(g) if isinstance(g[0], float) else (sum(num for num, _ in g), g[0][1]) for g in groups]
     cum_counts, run = [], 0
     for c in counts:
         run += c
         cum_counts.append(run)
-    return {
-        "infos": np.array(infos),
-        "probs": probs,
-        "counts": tuple(counts),
-        "cum_probs": _ref_kahan(probs),
-        "suffix_probs": np.concatenate([_ref_kahan(probs[::-1])[::-1], [0.0]]),
-        "cum_counts": tuple(cum_counts),
-    }
+    return {"infos": np.array(infos), "probs": probs, "counts": tuple(counts), "cum_counts": tuple(cum_counts)}
+
+
+def _assert_sums_hold_to_an_ulp(spec):
+    stored = list(map(dyadic, spec.probs.tolist()))
+    for got, exact in (
+        (spec.suffix_probs.tolist(), list(itertools.accumulate(stored[::-1], initial=0))[::-1]),
+        (cdf_values(spec).tolist(), list(itertools.accumulate(stored))),
+    ):
+        assert len(got) == len(exact)
+        for i, (x, e) in enumerate(zip(got, exact)):
+            assert abs(dyadic(x) - e) <= dyadic(math.ulp(e / 2**1074)), i
 
 
 def _assert_matches_reference(spec, triples):
     ref = _reference(triples)
-    for field in ("infos", "probs", "suffix_probs"):
-        assert np.array_equal(getattr(spec, field), ref[field]), field
-    assert np.array_equal(cdf_values(spec), ref["cum_probs"])
+    assert np.array_equal(spec.infos, ref["infos"])
     assert spec.counts == ref["counts"]
     assert spec.cum_counts == ref["cum_counts"]
+    if isinstance(ref["probs"][0], tuple):
+        assert max(relative_error(x, *exact) for x, exact in zip(spec.probs.tolist(), ref["probs"])) <= 2.0**-40
+    else:
+        assert np.array_equal(spec.probs, np.array(ref["probs"]))
+    _assert_sums_hold_to_an_ulp(spec)
 
 
 class TestIidSpectrum:
@@ -262,15 +263,17 @@ class TestColumnConstructors:
         assert s.probs.tolist() == [math.fsum([0.1, 0.2]), 0.7]
         assert s.counts == (3, 5)
 
-    def test_binomial_rows_do_not_depend_on_call_order(self):
+    def test_binomial_rows_do_not_depend_on_call_order(self, monkeypatch):
         # row n comes by Pascal's rule only when row n - 1 was the last one
-        # built; shuffled blocklengths with repeats, n - 1 right after n + 5,
-        # and 3-letter laws (which build rows 0..n) between 2-letter ones must
-        # all give what a from-scratch running product gives
+        # built, and the stirlerr table grows with the largest n; shuffled
+        # blocklengths with repeats, n - 1 right after n + 5, and 3-letter laws
+        # (which build rows 0..n) between 2-letter ones must all give what the
+        # reference gives, and the same spectra as a build in order from empty caches
         ns = list(range(1, 41)) * 2
         random.Random(3).shuffle(ns)
         ns += [20, 20, 21, 27, 21, 22, 2, 1, 2, 3]
         laws = [(0.89, 0.11), (0.2, 0.8), (0.5, 0.5), (0.6, 0.3, 0.1)]  # sorted, reversed, one merged mass
+        built = []
         for i, n in enumerate(ns):
             dist = FiniteDistribution(laws[i % len(laws)])
             s = iid_spectrum(dist, n)
@@ -279,6 +282,30 @@ class TestColumnConstructors:
                 assert s.counts == (2**n,)
             last, half = spectrum._half_row_cache  # one row is kept, never more
             assert n == 1 or (last == n and len(half) == n // 2 + 1)
+            built.append((dist, n, s))
+        monkeypatch.setattr(spectrum, "_half_row_cache", (0, [1]))
+        monkeypatch.setattr(sources, "_stirlerr_table", sources._STIRLERR_EXACT)
+        for dist, n, s in sorted(built, key=lambda b: b[1]):
+            fresh = iid_spectrum(dist, n)
+            for field in ("infos", "probs", "suffix_probs"):
+                assert np.array_equal(getattr(s, field), getattr(fresh, field)), field
+            assert s.counts == fresh.counts
+
+    def test_stirlerr_table_does_not_depend_on_how_it_grew(self, monkeypatch):
+        monkeypatch.setattr(sources, "_stirlerr_table", sources._STIRLERR_EXACT)
+        for n in (3, 17, 40, 100, 2000):
+            stepped = sources._stirlerr_upto(n)
+        monkeypatch.setattr(sources, "_stirlerr_table", sources._STIRLERR_EXACT)
+        assert np.array_equal(sources._stirlerr_upto(len(stepped) - 1), stepped)
+
+    @pytest.mark.parametrize("q", [0.11, 0.7, 0.001, 0.5, 0.4, 0.01])
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 300, 2000])
+    def test_binary_masses_hold_to_the_exact_binomial(self, q, n):
+        # C(n, k) q^k (1-q)^(n-k) of the law's doubles: Loader's form stays
+        # within 4.9e-13 relative for every normal mass (2^-40 is 9.1e-13);
+        # log2 C(n, k) from lgamma left masses 4e-12 off
+        dist = bernoulli(q)
+        _assert_matches_reference(iid_spectrum(dist, n), _ref_iid_triples(dist.probs, n))
 
     def test_certain_symbol_has_positive_zero_surprisal(self):
         s = iid_spectrum(FiniteDistribution((1.0, 0.0)), 3)
@@ -454,6 +481,12 @@ class TestQueries:
     def test_ccdf_interior(self):
         s = iid_spectrum(B11, 2)
         assert ccdf(s, 1.0) == pytest.approx(0.2079, abs=1e-12)
+
+    def test_ccdf_is_one_at_the_lightest_surprisal_whatever_the_float_total(self):
+        s = InformationSpectrum([0.5, 2.0], [0.75, 0.25 - 1e-12], [1, 2], n=1, exact=True)
+        assert s.suffix_probs[0] < 1.0
+        assert ccdf(s, 0.5) == ccdf(s, -3.0) == 1.0
+        assert ccdf(s, 0.6) == s.suffix_probs[1]
 
     def test_count_heavier_boundaries(self):
         s = iid_spectrum(B11, 2)
