@@ -148,10 +148,12 @@ def poisson_distribution(lam: float, tail_bound: float = 1e-12) -> FiniteDistrib
         raise DistributionError("poisson parameter must be positive")
 
     def pmf(k: np.ndarray) -> np.ndarray:
-        # Loader's saddle-point form: exp(k log lam - lam - log k!) would lose
-        # about k log2(lam) ulps to the cancellation in its exponent
-        k1 = np.maximum(k, 1)
-        return np.where(k == 0, math.exp(-lam), np.exp(-_stirlerr(k1) - _bd0(k1, lam)) / np.sqrt(math.tau * k1))
+        # Loader's form (exp(k log lam - lam - log k!) loses about k log2(lam) ulps to cancellation); every
+        # mass below lam - sqrt(2 * 746 lam) is under e^-746 < 2^-1075 (Chernoff), so leads the ascending k as 0
+        live = k[k >= lam - math.sqrt(2 * 746 * lam)]
+        k1 = np.maximum(live, 1)
+        masses = np.exp(-_stirlerr(k1) - _bd0(k1, lam)) / np.sqrt(math.tau * k1)
+        return np.append(np.zeros(len(k) - len(live)), np.where(live == 0, math.exp(-lam), masses))
 
     def needed(tail_bound: float) -> float:
         a = MAX_SUPPORT - 1  # Chernoff, for a < lam: P(k <= a) <= exp(a - lam) * (lam / a)^a
@@ -194,13 +196,13 @@ def _stirlerr_upto(n: int) -> np.ndarray:
 
 
 def _bd0(k: np.ndarray, lam: float) -> np.ndarray:
-    """k log(k / lam) + lam - k for k > 0, the deviance term of Loader's form.
+    """k log(k / lam) + lam - k for k >= 0 (lam at k = 0), the deviance term of Loader's form.
     Where |k - lam| < (k + lam) / 10 it is summed as (k - lam) v + 2k v^3 S
     with v = (k - lam)/(k + lam) and S = sum_{j>=0} v^(2j) / (2j + 3), by
     Horner to the first power of v^2 below 2^-54: as v^2 < 0.01, the second
     part is under 7% of the first."""
     with np.errstate(over="ignore"):  # k / lam past the doubles, where the mass is 0
-        out = k * np.log(k / lam) + lam - k
+        out = k * np.log(k / lam, out=np.zeros(len(k)), where=k > 0) + lam - k
     near = np.abs(k - lam) < 0.1 * (k + lam)
     k = k[near]
     v = (k - lam) / (k + lam)
@@ -214,19 +216,23 @@ def _bd0(k: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
+def _multinomial_pmf(n: int, comps: np.ndarray, probs) -> np.ndarray:
+    """n!/prod(c_a!) prod(p_a^c_a) for each row c of ``comps``, compositions of n, by Loader's form
+    exp(stirlerr(n) - sum_{c_a > 0} stirlerr(c_a) - sum_a bd0(c_a, n p_a) + n (sum(p) - 1)) times
+    sqrt(n / ((2 pi)^(m' - 1) prod_{c_a > 0} c_a)), m' the letters with c_a > 0; the n (sum(p) - 1)
+    term makes it the law of the doubles p_a, which need not sum to 1."""
+    table = _stirlerr_upto(n)
+    exponent = np.full(len(comps), table[n] + n * math.fsum((*probs, -1.0)))  # stirlerr(0) = 0
+    square = np.full(len(comps), 1 / (math.tau * n))  # of the divisor, (2 pi)^(m' - 1) prod_{c_a > 0} c_a / n
+    for c, p in zip(comps.T, probs):
+        exponent -= table[c] + _bd0(c, n * p)
+        square *= np.where(c > 0, math.tau * c, 1.0)
+    return np.exp(exponent, out=exponent) / np.sqrt(square, out=square)
+
+
 def _binomial_pmf(n: int, p: float, q: float) -> np.ndarray:
-    """C(n, k) p^k q^(n - k) for k = 0..n by Loader's form: exp(stirlerr(n) -
-    stirlerr(k) - stirlerr(n - k) - bd0(k, np) - bd0(n - k, nq)) times
-    sqrt(n / (2 pi k (n - k))), plus n (p + q - 1) in the exponent, since the
-    doubles p and q need not sum to 1; q^n and p^n at the ends."""
-    out = np.empty(n + 1)
-    out[0], out[n] = math.exp(n * math.log(q)), math.exp(n * math.log(p))
-    if n > 1:
-        table, k = _stirlerr_upto(n), np.arange(1, n)
-        rest, lead = n - k, table[n] + n * math.fsum((p, q, -1.0))
-        exponent = lead - table[1:n] - table[n - 1:0:-1] - _bd0(k, n * p) - _bd0(rest, n * q)
-        out[1:n] = np.exp(exponent) * np.sqrt(n / (math.tau * k * rest))
-    return out
+    """C(n, k) p^k q^(n - k) for k = 0..n: ``_multinomial_pmf`` of the law (q, p)."""
+    return _multinomial_pmf(n, np.column_stack((np.arange(n, -1, -1), np.arange(n + 1))), (q, p))
 
 
 def bernoulli(p: float) -> FiniteDistribution:
@@ -237,9 +243,9 @@ def bernoulli(p: float) -> FiniteDistribution:
 def binomial_distribution(n_trials: int, p: float) -> FiniteDistribution:
     """Number of successes in n_trials independent trials of bias p.
 
-    Masses come by Loader's saddle-point form (``_binomial_pmf``), so even
-    n_trials = 10_000 is safe; outcomes whose probability underflows double
-    precision carry no representable mass and are dropped.
+    Masses come by Loader's form of the two-letter multinomial (``_binomial_pmf``),
+    so even n_trials = 10_000 is safe; outcomes whose probability underflows
+    double precision carry no representable mass and are dropped.
     """
     if n_trials < 1:
         raise DistributionError("n_trials must be at least 1")

@@ -8,17 +8,17 @@ count as an arbitrary-precision integer, which is what makes rank arithmetic
 work at blocklengths in the thousands where counts overflow any float.
 
 Masses are sorted by increasing surprisal, i.e. decreasing per-string
-probability.  A binary law's masses are one column by Loader's saddle-point
-form (``sources._binomial_pmf``), within 5e-13 relative of the exact
-C(n, k) p^k q^(n-k) for every normal mass up to n = 2000; other masses are
-count * 2^(-surprisal), one column bit-identical to ``count_times_pstring``
-(``_pstring_column``).  A binomial row of counts comes by Pascal's rule from
-row n - 1 when that was the last one built.  Masses within 1e-12 bits of the
-first surprisal of their group merge, with ``math.fsum`` over their
-probabilities, so that counting queries are well defined.  Every limit reads
-the excess side, so a spectrum keeps suffix sums compensated by their TwoSum
-errors, within one ulp of the exact sums of its masses; the retained side
-P[surprisal <= a] is formed on request (``cdf_values``).
+probability.  A memoryless law's masses are one column by Loader's form of
+the multinomial (``sources._multinomial_pmf``); a binary law takes it at
+multiples of 64 only and Pascal's rule between (``_binary_row``), within
+5.6e-13 relative of the exact C(n, k) p^k q^(n-k) for every normal mass up to
+n = 2000.  A binomial row of counts comes by Pascal's rule from row n - 1 when
+that was the last one built.  Masses within 1e-12 bits of the first surprisal
+of their group merge, with ``math.fsum`` over their probabilities, so that
+counting queries are well defined.  Every limit reads the excess side, so a
+spectrum keeps suffix sums compensated by their TwoSum errors, within one ulp
+of the exact sums of its masses; the retained side P[surprisal <= a] is
+formed on request (``cdf_values``).
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ import numpy as np
 from ._kernels import initial_step, markov_step
 from .budgets import enumeration_budget, type_class_budget
 from .errors import BudgetExceededError, DistributionError, UnsupportedSpectrumError
-from .sources import FiniteDistribution, MarkovSource, _binomial_pmf, _compensated_cumsum
+from .sources import FiniteDistribution, MarkovSource, _binomial_pmf, _compensated_cumsum, _multinomial_pmf
 
 MERGE_TOL = 1e-12  # bits; masses closer than this are one mass
 PROB_CHECK_TOL = 1e-9
-_COLUMN_MIN = 1024  # masses; a shorter column is cheaper one mass at a time than through NumPy
+_ANCHOR = 64  # blocklengths; a binary row grows by Pascal's rule from Loader's column at a multiple of this
 
 __all__ = [
     "InformationSpectrum",
@@ -61,26 +61,6 @@ def count_times_pstring(count: int, info: float) -> float:
     if lp < -1080.0:
         return 0.0
     return 2.0 ** lp
-
-
-def _pstring_column(counts: Sequence[int], infos) -> np.ndarray:
-    """``[count_times_pstring(c, x) for c, x in zip(counts, infos)]``, bit for bit: from
-    _COLUMN_MIN masses on, big-int and libm calls run through ``map`` and float arithmetic in
-    NumPy, which rounds as Python does (its ``power`` and ``exp2`` differ from libm ``pow``)."""
-    infos = np.asarray(infos, dtype=np.float64)
-    if len(infos) < _COLUMN_MIN:
-        return np.fromiter(map(count_times_pstring, counts, infos.tolist()), np.float64, len(infos))
-    bits = np.fromiter(map(int.bit_length, counts), np.int64, len(infos))
-    live = bits > 0 if min(counts, default=0) >= 0 else np.fromiter(map((0).__lt__, counts), bool, len(infos))
-    direct = live & (bits <= 53) & (infos <= 1000.0)
-    logged = live & ~direct & ~(bits - infos < -1080.0)  # log2(count) <= bits: the others fall below the cut
-    factor, power = np.ones(len(infos)), -infos  # count * 2^(-info), or 1.0 * 2^(log2(count) - info)
-    factor[direct] = np.fromiter(map(float, itertools.compress(counts, direct.tolist())), np.float64)
-    power[logged] += np.fromiter(map(math.log2, itertools.compress(counts, logged.tolist())), np.float64)
-    keep = live & ~(power < -1080.0)
-    out = np.zeros(len(infos))
-    out[keep] = factor[keep] * np.fromiter(map(pow, itertools.repeat(2.0), power[keep].tolist()), np.float64)
-    return out
 
 
 def _query_tol(x: float) -> float:
@@ -185,6 +165,7 @@ def _finish(infos: np.ndarray, probs: Sequence[float], counts: Sequence[int], n:
 
 
 _half_row_cache = (0, [1])  # (n, [C(n, k) for k in 0..n // 2]): the last row built
+_binary_row_cache = ((), 0, np.ones(1))  # (law (p, q), n, its masses of row n): the last binary row built
 
 
 def _binomial_row(n: int) -> list:
@@ -202,6 +183,20 @@ def _binomial_row(n: int) -> list:
             half.append(half[-1] * (n - k) // (k + 1))
     _half_row_cache = (n, half)
     return half + half[: n + 1 - len(half)][::-1]
+
+
+def _binary_row(n: int, p: float, q: float) -> np.ndarray:
+    """C(n, k) p^k q^(n - k) for k = 0..n: Loader's column at a = n - n mod _ANCHOR ([1.0] at a = 0),
+    then Pascal's rule, p row[k - 1] + q row[k], two roundings a row, from the last row built if it is
+    one of rows a..n of the same law, so row n is a function of (n, p, q), whatever was built before."""
+    global _binary_row_cache
+    (law, last, row), anchor = _binary_row_cache, n - n % _ANCHOR
+    if law != (p, q) or not anchor <= last <= n:
+        last, row = anchor, _binomial_pmf(anchor, p, q) if anchor else np.ones(1)
+    for _ in range(last, n):
+        row = np.append(q * row, 0.0) + np.append(0.0, p * row)
+    _binary_row_cache = ((p, q), n, row)
+    return row
 
 
 def _type_classes(n: int, m: int) -> tuple[np.ndarray, list]:
@@ -225,9 +220,8 @@ def iid_spectrum(dist: FiniteDistribution, n: int) -> InformationSpectrum:
 
     One mass per type class: a class with symbol counts (n_a) has surprisal
     sum(n_a * iota_a), exact string count n!/prod(n_a!), and probability
-    count * 2^(-surprisal): the binomial pmf of the law's doubles for two
-    letters, ``count_times_pstring`` for more.  The number of classes
-    is C(n+|A|-1, |A|-1), which must fit the configured budget.
+    n!/prod(n_a!) prod(p_a^n_a) of the law's doubles (``_binary_row`` for two letters, else
+    Loader's form).  The number of classes is C(n+|A|-1, |A|-1), which must fit the configured budget.
     """
     if n < 1:
         raise ValueError("blocklength must be at least 1")
@@ -249,11 +243,11 @@ def iid_spectrum(dist: FiniteDistribution, n: int) -> InformationSpectrum:
         counts = _binomial_row(n)
         k = np.arange(n + 1, dtype=np.float64)
         infos = (n - k) * i0 + k * i1  # one correctly rounded add, as math.fsum of the two products
-        probs = _binomial_pmf(n, dist.probs[1], dist.probs[0])
+        probs = _binary_row(n, dist.probs[1], dist.probs[0])
     else:
         comps, counts = _type_classes(n, m)
         infos = np.fromiter(map(math.fsum, zip(*(comps * iotas).T.tolist())), np.float64, len(counts))
-        probs = _pstring_column(counts, infos)
+        probs = _multinomial_pmf(n, comps, dist.probs)
     return _finish(infos, probs, counts, n)
 
 

@@ -146,6 +146,24 @@ def exact_binomial(n, p, q):
     return nums, scale
 
 
+def exact_multinomial(comps, probs):
+    """n! / prod(c_a!) prod(p_a^c_a) of the doubles p_a for each composition
+    c of n in ``comps``, exactly: (numerators, scale), each mass its numerator
+    over 2^scale, scale >= 1074."""
+    ratios = [p.as_integer_ratio() for p in probs]
+    exps = [den.bit_length() - 1 for _, den in ratios]
+    n = sum(comps[0])
+    scale = max(1074, n * max(exps))
+    factorials = list(itertools.accumulate(range(1, n + 1), operator.mul, initial=1))
+    nums = []
+    for comp in comps:
+        num, shift = factorials[n], scale
+        for c, (a, _), e in zip(comp, ratios, exps):
+            num, shift = num // factorials[c] * a**c, shift - e * c  # each quotient a multinomial, exact
+        nums.append(num << shift)
+    return nums, scale
+
+
 def relative_error(x, exact, scale):
     """|x - exact / 2^scale| over the larger of exact / 2^scale and the least
     normal double, for a double x: a relative error for normal masses."""

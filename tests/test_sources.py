@@ -196,6 +196,25 @@ class TestCountable:
         assert math.fsum(probs) >= 1.0 - 1e-12 > math.fsum(probs[:-1])
 
     @pytest.mark.parametrize("lam", [0.1, 10.0, 3000.0, 3e5])
+    def test_poisson_masses_below_the_chernoff_cut_are_not_evaluated(self, monkeypatch, lam):
+        # below lam - sqrt(2 * 746 lam) every mass is under e^-746 < 2^-1075, so
+        # it is 0 without evaluating Loader's form there (at 3e5 the cut is
+        # 278,843 and the first nonzero mass 279,206), and the law is the one
+        # that evaluating every k from 0 gives, bit for bit
+        def every_k(k):
+            k1 = np.maximum(k, 1)
+            return np.where(
+                k == 0, math.exp(-lam), np.exp(-sources._stirlerr(k1) - sources._bd0(k1, lam)) / np.sqrt(math.tau * k1)
+            )
+
+        expected = sources._truncated(every_k, 1e-12, "poisson", lambda t: 0, False).probs
+        bd0, read = sources._bd0, []
+        monkeypatch.setattr(sources, "_bd0", lambda k, lam: read.extend(k[:1].tolist()) or bd0(k, lam))
+        probs = poisson_distribution(lam).probs
+        assert np.array_equal(np.array(probs), np.array(expected))
+        assert min(read) >= lam - math.sqrt(2 * 746 * lam)
+
+    @pytest.mark.parametrize("lam", [0.1, 10.0, 3000.0, 3e5])
     def test_poisson_masses_hold_to_the_rounding_of_their_exponent(self, lam):
         # e^-lam lam^k / k! of the double lam, at 60 digits.  Loader's form
         # exp(-stirlerr(k) - bd0(k, lam)) / sqrt(2 pi k) errs by about the

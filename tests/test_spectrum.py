@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import random
@@ -21,7 +22,6 @@ from complimits.spectrum import (
     MERGE_TOL,
     InformationSpectrum,
     _finish,
-    _pstring_column,
     ccdf,
     cdf_values,
     count_times_pstring,
@@ -38,6 +38,7 @@ from _oracles import (
     enumerate_iid,
     enumerate_markov,
     exact_binomial,
+    exact_multinomial,
     iid_kernel,
     relative_error,
     spectrum_self_check,
@@ -55,13 +56,14 @@ PAPER_CHAIN = MarkovSource(np.array([[0.9, 0.1], [0.2, 0.8]]))
 # ---------------------------------------------------------------------------
 # Per-mass reference path: one (info, prob, count) triple per type class or
 # path, sorted and merged one mass at a time.  The column constructors must
-# match its surprisals, counts and cumulative counts bit for bit, and its
-# masses too, except a binary law's: those are the exact C(n, k) p^k q^(n-k)
-# of the law's doubles, which Loader's form must meet to 2^-40 relative.
-# Suffix and prefix sums must lie within one ulp of the exact sums of the
-# stored masses.  Enumeration order cannot show: tied masses carry equal
-# surprisals and math.fsum is exact, so compositions are listed here in their
-# own order.
+# match its surprisals, counts and cumulative counts bit for bit.  Its masses
+# are the exact multinomial n!/prod(c_a!) prod(p_a^c_a) of the law's doubles
+# for a memoryless law of two or more letters at n >= 2, which Loader's form
+# and the Pascal steps from it must meet to 2^-40 relative, and the masses
+# themselves otherwise, which must match bit for bit.  Suffix and prefix sums
+# must lie within one ulp of the exact sums of the stored masses.
+# Enumeration order cannot show: tied masses carry equal surprisals and exact
+# sums, so compositions are listed here in their own order.
 # ---------------------------------------------------------------------------
 
 
@@ -84,18 +86,14 @@ def _ref_iid_triples(probs, n):
         for p, iota in zip(probs, iotas):
             yield (iota, p, 1)
         return
-    if m == 2:  # exact masses, as (numerator, scale) pairs
-        i0, i1 = iotas
-        nums, scale = exact_binomial(n, probs[1], probs[0])
-        for k, num in enumerate(nums):
-            yield (math.fsum(((n - k) * i0, k * i1)), (num, scale), math.comb(n, k))
-        return
-    for comp in _ref_compositions(n, m):
+    # exact masses, as (numerator, scale) pairs
+    comps = list(_ref_compositions(n, m))
+    nums, scale = exact_binomial(n, probs[0], probs[1]) if m == 2 else exact_multinomial(comps, probs)
+    for comp, num in zip(comps, nums):
         count = math.factorial(n)
         for c in comp:
             count //= math.factorial(c)
-        info = math.fsum(c * it for c, it in zip(comp, iotas))
-        yield (info, count_times_pstring(count, info), count)
+        yield (math.fsum(c * it for c, it in zip(comp, iotas)), (num, scale), count)
 
 
 def _ref_markov_triples(src, n):
@@ -230,11 +228,11 @@ class TestColumnConstructors:
             ((0.6, 0.3, 0.1), 50),
         ],
     )
-    def test_iid_bit_identical_to_per_mass_path(self, probs, n):
+    def test_iid_matches_the_exact_per_mass_reference(self, probs, n):
         dist = FiniteDistribution(probs)
         _assert_matches_reference(iid_spectrum(dist, n), _ref_iid_triples(dist.probs, n))
 
-    def test_markov_bit_identical_to_per_mass_path(self):
+    def test_markov_matches_the_per_mass_reference(self):
         _assert_matches_reference(markov_spectrum_exact(PAPER_CHAIN, 10), _ref_markov_triples(PAPER_CHAIN, 10))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -246,7 +244,7 @@ class TestColumnConstructors:
         ),
         n=st.integers(1, 12),
     )
-    def test_random_laws_bit_identical_to_per_mass_path(self, letters, n):
+    def test_random_laws_match_the_exact_per_mass_reference(self, letters, n):
         # the last letter takes the rest, so dyadic or third draws leave exact
         # ties and near-ties within MERGE_TOL (1 - 2/3 is not 1/3)
         rest = 1.0 - math.fsum(letters)
@@ -264,14 +262,17 @@ class TestColumnConstructors:
         assert s.counts == (3, 5)
 
     def test_binomial_rows_do_not_depend_on_call_order(self, monkeypatch):
-        # row n comes by Pascal's rule only when row n - 1 was the last one
-        # built, and the stirlerr table grows with the largest n; shuffled
-        # blocklengths with repeats, n - 1 right after n + 5, and 3-letter laws
+        # a row of counts comes by Pascal's rule only when row n - 1 was the
+        # last one built, a binary row of masses only from a cached row of the
+        # same law within its anchor block, and the stirlerr table grows with
+        # the largest n; shuffled blocklengths with repeats, n - 1 right after
+        # n + 5, rows across the anchors at 64 and 128, and 3-letter laws
         # (which build rows 0..n) between 2-letter ones must all give what the
-        # reference gives, and the same spectra as a build in order from empty caches
+        # reference gives, and the same spectra, bit for bit, as a build in
+        # order from empty caches
         ns = list(range(1, 41)) * 2
         random.Random(3).shuffle(ns)
-        ns += [20, 20, 21, 27, 21, 22, 2, 1, 2, 3]
+        ns += [20, 20, 21, 27, 21, 22, 2, 1, 2, 3, 63, 64, 65, 64, 66, 130, 127, 128, 126, 70]
         laws = [(0.89, 0.11), (0.2, 0.8), (0.5, 0.5), (0.6, 0.3, 0.1)]  # sorted, reversed, one merged mass
         built = []
         for i, n in enumerate(ns):
@@ -282,14 +283,32 @@ class TestColumnConstructors:
                 assert s.counts == (2**n,)
             last, half = spectrum._half_row_cache  # one row is kept, never more
             assert n == 1 or (last == n and len(half) == n // 2 + 1)
+            law, last, row = spectrum._binary_row_cache  # and one row of masses
+            assert len(dist.probs) != 2 or n == 1 or (law == dist.probs[::-1] and last == n and len(row) == n + 1)
             built.append((dist, n, s))
         monkeypatch.setattr(spectrum, "_half_row_cache", (0, [1]))
+        monkeypatch.setattr(spectrum, "_binary_row_cache", ((), 0, np.ones(1)))
         monkeypatch.setattr(sources, "_stirlerr_table", sources._STIRLERR_EXACT)
         for dist, n, s in sorted(built, key=lambda b: b[1]):
             fresh = iid_spectrum(dist, n)
             for field in ("infos", "probs", "suffix_probs"):
                 assert np.array_equal(getattr(s, field), getattr(fresh, field)), field
             assert s.counts == fresh.counts
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 1999, 2000])
+    def test_cold_binary_row_is_the_swept_one(self, monkeypatch, n):
+        # Loader's column at n - n mod 64, then Pascal steps: a build from empty
+        # caches equals, bit for bit, the row a sweep from n = 10 reaches, and
+        # lies within 2^-40 relative of the exact binomial (1.3e-13 measured at
+        # n = 1999; Loader's column alone reaches 3.9e-13 there)
+        monkeypatch.setattr(spectrum, "_binary_row_cache", ((), 0, np.ones(1)))
+        for r in range(10, n + 1):
+            swept = iid_spectrum(B11, r).probs
+        monkeypatch.setattr(spectrum, "_binary_row_cache", ((), 0, np.ones(1)))
+        cold = iid_spectrum(B11, n).probs
+        assert np.array_equal(cold.view(np.int64), swept.view(np.int64))
+        nums, scale = exact_binomial(n, *B11.probs[::-1])
+        assert max(relative_error(x, num, scale) for x, num in zip(cold.tolist(), nums)) <= 2.0**-40
 
     def test_stirlerr_table_does_not_depend_on_how_it_grew(self, monkeypatch):
         monkeypatch.setattr(sources, "_stirlerr_table", sources._STIRLERR_EXACT)
@@ -299,11 +318,12 @@ class TestColumnConstructors:
         assert np.array_equal(sources._stirlerr_upto(len(stepped) - 1), stepped)
 
     @pytest.mark.parametrize("q", [0.11, 0.7, 0.001, 0.5, 0.4, 0.01])
-    @pytest.mark.parametrize("n", [2, 3, 16, 17, 300, 2000])
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 300, 1792, 2000])
     def test_binary_masses_hold_to_the_exact_binomial(self, q, n):
-        # C(n, k) q^k (1-q)^(n-k) of the law's doubles: Loader's form stays
-        # within 4.9e-13 relative for every normal mass (2^-40 is 9.1e-13);
-        # log2 C(n, k) from lgamma left masses 4e-12 off
+        # C(n, k) q^k (1-q)^(n-k) of the law's doubles: Loader's columns at
+        # multiples of 64 (1792 is one) and the Pascal rows between stay within
+        # 5.6e-13 relative for every normal mass (2^-40 is 9.1e-13); log2 C(n, k)
+        # from lgamma left masses 4e-12 off
         dist = bernoulli(q)
         _assert_matches_reference(iid_spectrum(dist, n), _ref_iid_triples(dist.probs, n))
 
@@ -330,27 +350,27 @@ PSTRING_CASES = [
 ]
 
 
-def _assert_column_is_scalar(counts, infos):
-    # as given (mass by mass when short) and repeated past _COLUMN_MIN (through NumPy)
-    reps = -(-spectrum._COLUMN_MIN // max(len(counts), 1))
-    for cs, xs in ((counts, infos), (counts * reps, infos * reps)):
-        col = _pstring_column(cs, xs)
-        ref = np.array([count_times_pstring(c, x) for c, x in zip(cs, xs)], dtype=np.float64)
-        assert col.tolist() == ref.tolist()
-        assert np.array_equal(col.view(np.int64), ref.view(np.int64))  # bit for bit, the sign of zero too
+def _assert_piece_is_exact(count, info):
+    # count * 2^(-info) at 60 digits: within 2^-40 relative, or the least
+    # subnormal where the mass is cut or rounds to the subnormal grid; a
+    # count <= 0 is +0.0
+    got = count_times_pstring(count, info)
+    if count <= 0:
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+        return
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emin, ctx.Emax = 60, decimal.MIN_EMIN, decimal.MAX_EMAX
+        exact = decimal.Decimal(count) * decimal.Decimal(2) ** -decimal.Decimal(info)
+        assert abs(decimal.Decimal(got) - exact) <= exact * decimal.Decimal(2.0**-40) + decimal.Decimal(2.0**-1074)
 
 
 class TestPstringColumn:
+    """``count_times_pstring``, the piece mass that rank cuts and the dyadic
+    walk of ``optcode`` map over their columns, against exact values."""
+
     @pytest.mark.parametrize("count, info", PSTRING_CASES)
     def test_one_mass(self, count, info):
-        _assert_column_is_scalar([count], [info])
-
-    def test_all_branches_in_one_column(self):
-        counts, infos = zip(*PSTRING_CASES)
-        _assert_column_is_scalar(list(counts), list(infos))
-
-    def test_empty_column(self):
-        assert _pstring_column([], []).tolist() == []
+        _assert_piece_is_exact(count, info)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -363,14 +383,13 @@ class TestPstringColumn:
         )
     )
     def test_random_masses(self, pairs):
-        pairs = [(c, x) for c, x in pairs if c.bit_length() - x <= 1020]  # no overflow past 2^1024
-        _assert_column_is_scalar([c for c, _ in pairs], [x for _, x in pairs])
+        for count, info in pairs:
+            if count.bit_length() - info <= 1020:  # no overflow past 2^1024
+                _assert_piece_is_exact(count, info)
 
     def test_overflow_raises_as_the_scalar_does(self):
         with pytest.raises(OverflowError):
             count_times_pstring(2**1100, 0.0)
-        with pytest.raises(OverflowError):
-            _pstring_column([5, 2**1100] * spectrum._COLUMN_MIN, [1.0, 0.0] * spectrum._COLUMN_MIN)
 
 
 class TestSpectrumChecks:
