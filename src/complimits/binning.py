@@ -78,7 +78,7 @@ def mass_profile(dist: Union[FiniteDistribution, InformationSpectrum]) -> list[M
     a spectrum, so ties are its merged masses (surprisals within MERGE_TOL bits).
     A distribution goes through its blocklength-1 spectrum."""
     if isinstance(dist, FiniteDistribution):  # as iid_spectrum at n = 1, without its type-class budget
-        dist = _finish(np.array([0.0 - math.log2(p) for p in dist.probs]), dist.probs, [1] * len(dist), 1)
+        dist = _finish(np.array([0.0 - math.log2(p) for p in dist.probs]), dist.probs, [1] * len(dist), 1, len(dist))
     return list(map(MassProfile, dist.probs.tolist(), dist.counts, itertools.accumulate(dist.counts, initial=0)))
 
 

@@ -252,6 +252,8 @@ def _cmd_limits(args) -> None:
 def _cmd_bounds(args) -> None:
     dist = _memoryless_source(args.source)
     params = GaussianParams.from_distribution(dist)
+    if params.sigma2 <= 0.0:
+        raise DistributionError("the Gaussian bounds need positive varentropy; this law has none")
     eps = args.eps
     headers = (
         "n",
@@ -366,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n-min", type=_int_at_least(1), default=10)
             p.add_argument("--n-max", type=int, default=200)
             p.add_argument("--n-step", type=_int_at_least(1), default=1)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
         p.add_argument("--output", "-o", default=None, help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 

@@ -24,8 +24,8 @@ it.  Single questions (``epsilon_star``, ``R_star``) bisect with ``rank_cut``.
 
 from __future__ import annotations
 
+import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -55,8 +55,8 @@ def rank_cut(spec: InformationSpectrum, threshold: int) -> float:
         return float(spec.suffix_probs[0])
     if threshold >= spec.total_count:
         return 0.0
-    i = bisect_left(spec.cum_counts, threshold)
-    return float(spec.suffix_probs[i + 1]) + count_times_pstring(spec.cum_counts[i] - threshold, float(spec.infos[i]))
+    i, through = spec.locate(threshold)
+    return float(spec.suffix_probs[i + 1]) + count_times_pstring(through - threshold, float(spec.infos[i]))
 
 
 def epsilon_star(spec: InformationSpectrum, k: int) -> float:
@@ -152,7 +152,7 @@ def length_distribution(spec: InformationSpectrum) -> CodelengthDistribution:
     lengths, masses, infos = pieces = [], [], []
     probs, tail = [], [1.0]
     j, start, consumed, cut = 0, 0, 0, 1  # cut = 2^(j+1) - 1 closes block j, whose pieces begin at start
-    for after, end, info in zip(spec.suffix_probs[1:].tolist(), spec.cum_counts, spec.infos.tolist()):
+    for after, end, info in zip(spec.suffix_probs[1:].tolist(), itertools.accumulate(spec.counts), spec.infos.tolist()):
         if cut > end:
             lengths.append(j)
             masses.append(_piece(end - consumed, info))

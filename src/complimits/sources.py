@@ -91,9 +91,10 @@ def _truncated(
     ``pmf`` maps a column of symbols to their masses.  ``needed(tail_bound)``
     counts the symbols that takes, exactly if ``exact`` (a closed form), else
     as a lower bound with a compensated sum of doubling blocks of masses deciding.
-    A law past MAX_SUPPORT is rejected before its pmf runs.  With the default
-    tail_bound of 1e-12 the kept masses satisfy the normalization invariant; a
-    fatter tail forces a renormalization.
+    A law past MAX_SUPPORT is rejected before its pmf runs; leading zero masses,
+    which the law drops, before the sum.  The kept masses are renormalized when
+    their fsum misses 1 by more than PROB_SUM_TOL, as the dropped tail may under
+    a fatter tail_bound, and as rounding makes it at the default for geometric(1e-5).
     """
     if not 0.0 < tail_bound < 1.0:
         raise DistributionError(f"tail_bound must lie in (0, 1), not {tail_bound!r}")
@@ -108,11 +109,9 @@ def _truncated(
             raise DistributionError(f"truncation of {name} did not reach 1 - {tail_bound} within {MAX_SUPPORT} symbols")
         probs = np.append(probs, pmf(np.arange(len(probs), min(2 * len(probs) + 1024, MAX_SUPPORT))))
         reached = np.flatnonzero(_compensated_cumsum(probs) >= 1.0 - tail_bound)
-    probs = probs[: reached[0] + 1].tolist()
+    probs = probs[np.argmax(probs > 0.0) : reached[0] + 1].tolist()
     deficit = 1.0 - math.fsum(probs)
     if abs(deficit) > PROB_SUM_TOL:
-        # keep exact masses whenever allowed; renormalize only when the tail is
-        # too fat, or the rounded masses too heavy, for the normalization invariant
         probs = [p / (1.0 - deficit) for p in probs]
     return FiniteDistribution(probs)
 
@@ -144,8 +143,8 @@ def geometric_distribution(q: float, tail_bound: float = 1e-12) -> FiniteDistrib
 
 def poisson_distribution(lam: float, tail_bound: float = 1e-12) -> FiniteDistribution:
     """Poisson law with mean lam on k = 0, 1, 2, ..., truncated to 1 - tail_bound."""
-    if lam <= 0.0:
-        raise DistributionError("poisson parameter must be positive")
+    if not 0.0 < lam < math.inf:  # NaN fails too
+        raise DistributionError(f"poisson parameter must be positive and finite, not {lam!r}")
 
     def pmf(k: np.ndarray) -> np.ndarray:
         # Loader's form (exp(k log lam - lam - log k!) loses about k log2(lam) ulps to cancellation); every

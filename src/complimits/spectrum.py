@@ -18,7 +18,8 @@ of their group merge, with ``math.fsum`` over their probabilities, so that
 counting queries are well defined.  Every limit reads the excess side, so a
 spectrum keeps suffix sums compensated by their TwoSum errors, within one ulp
 of the exact sums of its masses; the retained side P[surprisal <= a] is
-formed on request (``cdf_values``).
+formed on request (``cdf_values``), and cumulative counts only as far as a
+rank cut reads (``InformationSpectrum.locate``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from bisect import bisect_left
 from typing import Sequence
 
 import numpy as np
@@ -70,75 +72,84 @@ def _query_tol(x: float) -> float:
 class InformationSpectrum:
     """Sorted surprisal masses (value bits, probability, exact string count).
 
-    Immutable after construction; the suffix probabilities and cumulative
-    counts that queries read are built eagerly, so concurrent readers share
-    only read-only state.
+    Fixed at construction but for the cumulative counts that rank cuts read: a
+    prefix from the first count, doubled until it covers the cut, so a cut short
+    of the middle of the masses never sums the rest.  A growth replaces the whole
+    prefix tuple, never mutating one, so concurrent readers see a correct prefix.
     """
 
-    __slots__ = (
-        "infos",
-        "probs",
-        "counts",
-        "n",
-        "exact",
-        "sample_size",
-        "suffix_probs",
-        "cum_counts",
-    )
+    __slots__ = ("infos", "probs", "counts", "n", "exact", "sample_size", "suffix_probs", "total_count", "_prefix")
 
-    def __init__(
-        self,
-        infos: Sequence[float],
-        probs: Sequence[float],
-        counts: Sequence[int],
-        n: int,
-        exact: bool,
-        sample_size: int = 0,
-    ):
+    def __init__(self, infos: Sequence[float], probs: Sequence[float], counts: Sequence[int], n: int, exact: bool,
+                 sample_size: int = 0):
+        try:
+            counts_t = tuple(map(operator.index, counts))
+            if counts_t and min(counts_t) < 1:
+                raise ValueError
+        except (TypeError, ValueError):
+            raise DistributionError("mass counts must be positive integers") from None
+        self._fill(infos, probs, counts_t, sum(counts_t), n, exact, sample_size)
+
+    @classmethod
+    def _built(cls, infos, probs, counts: tuple, total: int, n: int, exact: bool, sample_size: int = 0):
+        """A spectrum from counts its constructor built: a tuple of ints >= 1 that sum to ``total``."""
+        spec = cls.__new__(cls)
+        spec._fill(infos, probs, counts, total, n, exact, sample_size)
+        return spec
+
+    def _fill(self, infos, probs, counts: tuple, total: int, n: int, exact: bool, sample_size: int) -> None:
         infos_arr = np.asarray(infos, dtype=np.float64)
         probs_arr = np.asarray(probs, dtype=np.float64)
-        counts_t = tuple(map(operator.index, counts))
-        if not (len(infos_arr) == len(probs_arr) == len(counts_t)) or len(infos_arr) == 0:
+        if not (len(infos_arr) == len(probs_arr) == len(counts)) or len(infos_arr) == 0:
             raise DistributionError("spectrum needs equal-length, nonempty mass arrays")
         if np.any(np.diff(infos_arr) <= 0.0):
             raise DistributionError("surprisal values must be strictly increasing")
-        if min(counts_t) < 1:
-            raise DistributionError("mass counts must be positive integers")
         infos_arr.setflags(write=False)
         probs_arr.setflags(write=False)
-        self.infos = infos_arr
-        self.probs = probs_arr
-        self.counts = counts_t
-        self.n = int(n)
-        self.exact = bool(exact)
-        self.sample_size = int(sample_size)
-
+        self.infos, self.probs, self.counts, self.total_count = infos_arr, probs_arr, counts, total
+        self._prefix = counts[:1]  # cumulative counts, grown by rank cuts
+        self.n, self.exact, self.sample_size = int(n), bool(exact), int(sample_size)
         self.suffix_probs = np.append(_compensated_cumsum(probs_arr[::-1])[::-1], 0.0)
         self.suffix_probs.setflags(write=False)
-        total = float(self.suffix_probs[0])
-        if not abs(total - 1.0) <= PROB_CHECK_TOL:  # NaN fails too
-            raise DistributionError(f"mass probabilities sum to {total!r}")
-        self.cum_counts = tuple(itertools.accumulate(counts_t))
+        total_prob = float(self.suffix_probs[0])
+        if not abs(total_prob - 1.0) <= PROB_CHECK_TOL:  # NaN fails too
+            raise DistributionError(f"mass probabilities sum to {total_prob!r}")
 
     def __len__(self) -> int:
         return len(self.counts)
 
+    def _prefix_through(self, rank: int) -> tuple:
+        """Cumulative counts, doubled from the cached prefix until they reach ``rank`` or the last mass."""
+        prefix = self._prefix
+        while prefix[-1] < rank and len(prefix) < len(self.counts):
+            grown = itertools.accumulate(self.counts[len(prefix) : 2 * len(prefix)], initial=prefix[-1])
+            prefix = (*prefix[:-1], *grown)
+            self._prefix = prefix
+        return prefix
+
+    def locate(self, rank: int) -> tuple[int, int]:
+        """(i, strings in masses 0..i) for the mass i that holds the string of ``rank``, 1 <= rank <= total_count."""
+        prefix = self._prefix_through(rank)
+        i = bisect_left(prefix, rank)
+        return i, prefix[i]
+
     @property
-    def total_count(self) -> int:
-        return self.cum_counts[-1]
+    def cum_counts(self) -> tuple:
+        return self._prefix_through(self.total_count)
 
     def require_exact(self, op: str) -> None:
         if not self.exact:
             raise UnsupportedSpectrumError(f"{op} requires an exact spectrum, not Monte-Carlo")
 
 
-def _finish(infos: np.ndarray, probs: Sequence[float], counts: Sequence[int], n: int) -> InformationSpectrum:
+def _finish(infos: np.ndarray, probs: Sequence[float], counts: list, n: int, total: int) -> InformationSpectrum:
     """Exact spectrum from unsorted mass columns: sort by surprisal, then merge.
 
-    A mass joins the current group when its surprisal is within MERGE_TOL
-    bits of the group's first surprisal.  A merged group takes the
-    ``math.fsum`` of its probabilities in sorted order and the exact sum of
-    its counts; a lone mass keeps its probability as it is.
+    Counts are ints >= 1 that sum to ``total``.  A mass joins the current
+    group when its surprisal is within MERGE_TOL bits of the group's first
+    surprisal.  A merged group takes the ``math.fsum`` of its probabilities
+    in sorted order and the exact sum of its counts; a lone mass keeps its
+    probability as it is.
     """
     probs = np.asarray(probs, dtype=np.float64)
     order = np.argsort(infos, kind="stable")
@@ -156,7 +167,7 @@ def _finish(infos: np.ndarray, probs: Sequence[float], counts: Sequence[int], n:
         plist = probs.tolist()
         infos, probs = infos[firsts], [math.fsum(plist[a:b]) for a, b in groups]
         counts = [sum(counts[a:b]) for a, b in groups]
-    return InformationSpectrum(infos, probs, counts, n=n, exact=True)
+    return InformationSpectrum._built(infos, probs, tuple(counts), total, n, exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +246,9 @@ def iid_spectrum(dist: FiniteDistribution, n: int) -> InformationSpectrum:
         )
     iotas = [0.0 - math.log2(p) for p in dist.probs]  # 0.0 - x, not -x: a certain symbol costs +0.0 bits
     if m == 1:
-        return _finish(np.array([n * iotas[0]]), [1.0], [1], n)
+        return _finish(np.array([n * iotas[0]]), [1.0], [1], n, 1)
     if n == 1:
-        return _finish(np.array(iotas), dist.probs, [1] * m, n)
+        return _finish(np.array(iotas), dist.probs, [1] * m, n, m)
     if m == 2:
         i0, i1 = iotas
         counts = _binomial_row(n)
@@ -248,7 +259,7 @@ def iid_spectrum(dist: FiniteDistribution, n: int) -> InformationSpectrum:
         comps, counts = _type_classes(n, m)
         infos = np.fromiter(map(math.fsum, zip(*(comps * iotas).T.tolist())), np.float64, len(counts))
         probs = _multinomial_pmf(n, comps, dist.probs)
-    return _finish(infos, probs, counts, n)
+    return _finish(infos, probs, counts, n, m**n)  # every letter has positive probability
 
 
 def markov_spectrum_exact(src: MarkovSource, n: int) -> InformationSpectrum:
@@ -282,7 +293,7 @@ def markov_spectrum_exact(src: MarkovSource, n: int) -> InformationSpectrum:
             p = float(kern[state, nxt])
             if p > 0.0:
                 stack.append((nxt, depth + 1, prob * p, info - math.log2(p)))
-    return _finish(np.array(infos), probs, [1] * len(infos), n)
+    return _finish(np.array(infos), probs, [1] * len(infos), n, len(infos))
 
 
 def markov_spectrum_mc(src: MarkovSource, n: int, samples: int, seed: int) -> InformationSpectrum:
@@ -313,9 +324,7 @@ def markov_spectrum_mc(src: MarkovSource, n: int, samples: int, seed: int) -> In
 
     values, multiplicity = np.unique(acc, return_counts=True)
     probs = multiplicity / float(samples)
-    return InformationSpectrum(
-        values, probs, np.ones(len(values), dtype=np.int64), n=n, exact=False, sample_size=samples
-    )
+    return InformationSpectrum._built(values, probs, (1,) * len(values), len(values), n, False, samples)
 
 
 # ---------------------------------------------------------------------------

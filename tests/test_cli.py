@@ -61,10 +61,27 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["message"] == "a Markov source has no single-letter marginal; use its kernel"
 
-    def test_numeric_validity_error(self, capsys):
-        code = run_cli(["bounds", "--source", '{"type":"memoryless","probs":[0.5,0.5]}',
+    @pytest.mark.parametrize("probs", [[1.0], [0.5, 0.5]], ids=["certain", "uniform"])
+    def test_zero_varentropy_bounds_is_config_error(self, capsys, monkeypatch, probs):
+        # every string equally likely: the Gaussian bounds are undefined, which is known before any spectrum
+        monkeypatch.setattr(cli, "exact_sweep", lambda *a: pytest.fail("the sweep ran"))
+        code = run_cli(["bounds", "--source", json.dumps({"type": "memoryless", "probs": probs}),
                         "--n-min", "4", "--n-max", "5", "--eps", "0.1"])
-        assert code == 4  # zero varentropy
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DistributionError" and "positive varentropy" in err["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["binning", "--source", B11_SRC, "--bins", "2", "--trials", "10"],
+         ["spectrum", "--source", '{"type": "markov", "kernel": [[0.9, 0.1], [0.2, 0.8]]}', "--n", "3",
+          "--mc-samples", "10"]],
+        ids=["binning", "spectrum_mc"],
+    )
+    def test_negative_seed_is_config_error(self, capsys, argv):
+        assert run_cli([*argv, "--seed", "-1"]) == 2
+        assert "must be at least 0, got -1" in json.loads(capsys.readouterr().err)["message"]
+        assert run_cli([*argv, "--seed", "0"]) == 0
 
     @pytest.mark.parametrize(
         "argv",

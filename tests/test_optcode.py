@@ -1,4 +1,9 @@
+import itertools
 import math
+import random
+import sys
+import threading
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +18,7 @@ from complimits.sources import (
     bernoulli,
     geometric_distribution,
 )
-from complimits.spectrum import ccdf, iid_spectrum, markov_spectrum_exact, markov_spectrum_mc
+from complimits.spectrum import ccdf, count_times_pstring, iid_spectrum, markov_spectrum_exact, markov_spectrum_mc
 from complimits.optcode import (
     R_star,
     Rbar,
@@ -103,6 +108,95 @@ class TestRankCut:
             assert rank_cut(spec, threshold) == pytest.approx(
                 math.fsum(probs[threshold:]), rel=1e-12, abs=1e-15
             )
+
+
+
+def _cut_on_the_whole_prefix(spec, threshold):
+    """``rank_cut`` over cumulative counts summed in full, as they were before the prefix grew on demand."""
+    cum = list(itertools.accumulate(spec.counts))
+    if threshold <= 0:
+        return float(spec.suffix_probs[0])
+    if threshold >= cum[-1]:
+        return 0.0
+    i = bisect_left(cum, threshold)
+    return float(spec.suffix_probs[i + 1]) + count_times_pstring(cum[i] - threshold, float(spec.infos[i]))
+
+
+def _thresholds(spec):
+    """Every cumulative count, its neighbours and every dyadic cut 2^k - 1, past the total too."""
+    cum = list(itertools.accumulate(spec.counts))
+    dyadic = [(1 << k) - 1 for k in range(spec.total_count.bit_length() + 2)]
+    return sorted({0, *cum, *(c - 1 for c in cum), *(c + 1 for c in cum), *dyadic})
+
+
+class TestPrefixOnDemand:
+    """Rank cuts sum cumulative counts only as far as they read, by doubling a
+    cached prefix; the answers must not depend on how far earlier cuts grew it."""
+
+    LAWS = [(B11, 300), (FiniteDistribution((0.5, 0.3, 0.2)), 12), (FiniteDistribution((0.5, 0.25, 0.25)), 9)]
+
+    @pytest.mark.parametrize("warm", ["fresh", "partly", "fully"])
+    @pytest.mark.parametrize("law", range(3))
+    def test_answers_do_not_depend_on_the_prefix_grown_before(self, law, warm):
+        dist, n = self.LAWS[law]
+        fresh = lambda: iid_spectrum(dist, n)
+        spec = fresh()
+        if warm == "partly":
+            rank_cut(spec, list(itertools.accumulate(spec.counts))[len(spec) // 5])
+            assert len(spec._prefix) < len(spec)
+        elif warm == "fully":
+            assert spec.cum_counts == tuple(itertools.accumulate(spec.counts))
+        ours, theirs = length_distribution(spec), length_distribution(fresh())
+        assert (ours.probs, ours.tail, ours.pieces) == (theirs.probs, theirs.tail, theirs.pieces)
+        for eps in (1e-6, 0.01, 0.1, 0.5, 0.9):  # each on the prefix the cuts before it grew
+            assert R_star(spec, eps) == R_star(fresh(), eps)
+        thresholds, reference = _thresholds(spec), fresh()
+        order = list(thresholds)
+        random.Random(law).shuffle(order)
+        cuts = {t: rank_cut(spec, t) for t in order}
+        assert [cuts[t] for t in thresholds] == [_cut_on_the_whole_prefix(reference, t) for t in thresholds]
+
+    @pytest.mark.parametrize("n", [10, 300, 2000])
+    def test_a_cut_short_of_the_middle_leaves_the_rest_unsummed(self, n):
+        spec = iid_spectrum(B11, n)
+        cum = list(itertools.accumulate(spec.counts))
+        for i in range(len(spec)):
+            rank_cut(spec, cum[i])
+            assert len(spec._prefix) == min(len(spec), 1 << i.bit_length())  # the first power of two past i
+        spec = iid_spectrum(B11, n)
+        R_star(spec, 0.1)  # its cuts stay short of the middle of the row
+        assert len(spec._prefix) < len(spec)
+
+    def test_length_distribution_leaves_the_prefix_alone(self):
+        spec = iid_spectrum(B11, 500)
+        length_distribution(spec)
+        assert len(spec._prefix) == 1
+
+    def test_concurrent_cuts_on_one_fresh_spectrum(self):
+        spec = iid_spectrum(B11, 1000)
+        thresholds = _thresholds(spec)
+        serial = {t: _cut_on_the_whole_prefix(spec, t) for t in thresholds}
+        start, results = threading.Barrier(4, timeout=60), {}
+
+        def worker(seed):
+            order = list(thresholds)
+            random.Random(seed).shuffle(order)
+            start.wait()
+            results[seed] = {t: rank_cut(spec, t) for t in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so cuts interleave with prefix growth
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(results) == 4
+        for got in results.values():
+            assert got == serial
 
 
 class TestEpsilonStar:

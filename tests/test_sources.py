@@ -1,11 +1,13 @@
 import decimal
+import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from complimits import sources
+from complimits import cli, sources
 from complimits.bounds import GaussianParams
 from complimits.dispersion import dispersion_estimate
 from complimits.errors import DistributionError, StructuralError
@@ -213,6 +215,39 @@ class TestCountable:
         probs = poisson_distribution(lam).probs
         assert np.array_equal(np.array(probs), np.array(expected))
         assert min(read) >= lam - math.sqrt(2 * 746 * lam)
+
+    @pytest.mark.parametrize("lam", [0.1, 10.0, 3000.0, 3e5])
+    def test_poisson_leading_zeros_are_dropped_before_the_sum(self, monkeypatch, lam):
+        # the law is the one summed, renormalized and filtered over the whole
+        # column from k = 0, zeros and all, yet only its nonzero masses reach
+        # the sum and FiniteDistribution (279,206 zeros lead at 3e5)
+        pmfs, columns = [], []
+        truncated, law = sources._truncated, sources.FiniteDistribution
+        monkeypatch.setattr(sources, "_truncated", lambda pmf, *rest: pmfs.append(pmf) or truncated(pmf, *rest))
+        monkeypatch.setattr(sources, "FiniteDistribution", lambda probs: columns.append(probs) or law(probs))
+        probs = poisson_distribution(lam).probs
+        column = np.zeros(0)
+        while not np.any(sources._compensated_cumsum(column) >= 1.0 - 1e-12):
+            column = np.append(column, pmfs[0](np.arange(len(column), 2 * len(column) + 1024)))
+        whole = column[: np.flatnonzero(sources._compensated_cumsum(column) >= 1.0 - 1e-12)[0] + 1].tolist()
+        deficit = 1.0 - math.fsum(whole)
+        if abs(deficit) > sources.PROB_SUM_TOL:
+            whole = [p / (1.0 - deficit) for p in whole]
+        assert np.array_equal(np.array(probs), np.array(law(whole).probs))
+        assert len(columns[0]) == len(probs) and columns[0][0] > 0.0
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_poisson_parameter_is_rejected_before_any_mass(self, capsys, lam):
+        doc = json.dumps({"type": "poisson", "param": lam})  # NaN, Infinity, -Infinity
+        tracemalloc.start()
+        try:
+            code = cli.main(["binning", "--source", doc, "--bins", "2", "--trials", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "must be positive and finite" in json.loads(capsys.readouterr().err)["message"]
+        assert peak < 2**20  # a column to MAX_SUPPORT would be 80 MB
 
     @pytest.mark.parametrize("lam", [0.1, 10.0, 3000.0, 3e5])
     def test_poisson_masses_hold_to_the_rounding_of_their_exponent(self, lam):

@@ -256,7 +256,7 @@ class TestColumnConstructors:
     def test_merge_joins_the_first_mass_of_a_group(self):
         # 1.2e-12 is within MERGE_TOL of 0.6e-12 but not of 0.0, the first
         # surprisal of its group, so it starts a new mass
-        s = _finish(np.array([1.2e-12, 0.0, 0.6e-12]), [0.7, 0.1, 0.2], [5, 1, 2], n=1)
+        s = _finish(np.array([1.2e-12, 0.0, 0.6e-12]), [0.7, 0.1, 0.2], [5, 1, 2], n=1, total=8)
         assert s.infos.tolist() == [0.0, 1.2e-12]
         assert s.probs.tolist() == [math.fsum([0.1, 0.2]), 0.7]
         assert s.counts == (3, 5)
@@ -523,3 +523,70 @@ class TestQueries:
         with pytest.raises(ValueError):
             count_heavier(s, 0.5)
 
+
+class TestCountBookkeeping:
+    """Constructors hand their spectrum the counts they built, as Python ints
+    >= 1, with their total; the cumulative counts are summed on demand."""
+
+    @staticmethod
+    def _assert_counts(s):
+        assert all(type(c) is int and c >= 1 for c in s.counts)  # numpy ints would break the CLI's cells
+        assert sum(s.counts) == s.total_count
+        assert s.cum_counts == tuple(itertools.accumulate(s.counts))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        letters=st.lists(
+            st.one_of(st.sampled_from([1 / 2, 1 / 4, 1 / 8, 1 / 3]), st.floats(0.01, 0.5)), min_size=1, max_size=2
+        ),
+        n=st.integers(1, 40),
+    )
+    def test_iid_counts_sum_to_the_number_of_strings(self, letters, n):
+        # 2 and 3 letters; dyadic and third draws leave tie classes that merge
+        rest = 1.0 - math.fsum(letters)
+        if rest < 0.01:
+            return
+        dist = FiniteDistribution(letters + [rest])
+        s = iid_spectrum(dist, n)
+        self._assert_counts(s)
+        assert s.total_count == len(dist) ** n
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        kernel=st.sampled_from([
+            [[0.9, 0.1], [0.2, 0.8]],
+            [[0.5, 0.5], [0.5, 0.5]],  # every path ties
+            [[0.0, 1.0], [1.0, 0.0]],  # zero-probability paths are never counted
+            [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.2, 0.3, 0.5]],
+        ]),
+        n=st.integers(1, 9),
+        samples=st.integers(1, 500),
+        seed=st.integers(0, 2**32),
+    )
+    def test_markov_counts_sum_to_the_number_of_paths(self, kernel, n, samples, seed):
+        src = MarkovSource(np.array(kernel))
+        s = markov_spectrum_exact(src, n)
+        self._assert_counts(s)
+        assert s.total_count == len(enumerate_markov(kernel, src.initial_vector().tolist(), n))
+        mc = markov_spectrum_mc(src, n, samples, seed)
+        self._assert_counts(mc)
+        assert mc.total_count == len(mc)
+
+    def test_constructors_do_not_recheck_their_own_counts(self, monkeypatch):
+        def public(*args, **kwargs):
+            raise AssertionError("a constructor went through the checking constructor")
+
+        monkeypatch.setattr(InformationSpectrum, "__init__", public)
+        for s in (iid_spectrum(B11, 60), iid_spectrum(FiniteDistribution((0.5, 0.25, 0.25)), 7),
+                  markov_spectrum_exact(PAPER_CHAIN, 6), markov_spectrum_mc(PAPER_CHAIN, 6, 200, seed=1)):
+            self._assert_counts(s)
+
+    @pytest.mark.parametrize("bad", [0, -1, 1.5])
+    def test_public_constructor_checks_counts(self, bad):
+        with pytest.raises(DistributionError, match="mass counts must be positive integers"):
+            InformationSpectrum([0.0, 1.0], [0.5, 0.5], [1, bad], n=1, exact=True)
+
+    def test_public_constructor_takes_numpy_counts_as_python_ints(self):
+        s = InformationSpectrum([0.0, 1.0], [0.5, 0.5], np.array([3, 2**40]), n=1, exact=True)
+        assert s.counts == (3, 2**40) and s.total_count == 3 + 2**40
+        self._assert_counts(s)
